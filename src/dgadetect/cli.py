@@ -18,10 +18,9 @@ import time
 from pathlib import Path
 
 from . import adversarial, evaluation, forest, ingest, sideinfo
-from .core import FeatureVector, Label, SuffixDb, parse_domain
-from .errors import DgaDetectError, SchemaMismatchError
-from .lexical import extract_lexical
-from .sideinfo import CountryCodes, GeoDb, extract_sideinfo
+from .core import Label, SuffixDb
+from .errors import DgaDetectError
+from .sideinfo import GeoDb
 
 _EXIT_IO = 3
 
@@ -82,20 +81,18 @@ def _load_geo(args) -> GeoDb:
     return GeoDb.from_csv(fallback) if fallback else GeoDb.bundled()
 
 
-def _load_labeled_examples(args, suffixes: SuffixDb) -> tuple[list[ingest.LabeledExample], dict]:
-    labels_path = Path(args.labels) if args.labels else Path(args.data).with_suffix(".labels.csv")
-    with open(labels_path, encoding="utf-8") as fp:
+def _labels_path(args) -> Path:
+    return Path(args.labels) if args.labels else Path(args.data).with_suffix(".labels.csv")
+
+
+def _load_labeled_examples(args) -> tuple[list[ingest.LabeledExample], dict]:
+    with open(_labels_path(args), encoding="utf-8") as fp:
         labels = ingest.load_labeled_rows(fp)
     examples = []
     stats = ingest.ParseStats()
-    unparseable = unlabeled = 0
-    with open(args.data, encoding="utf-8") as fp:
-        for record in ingest.read_pdns(fp, stats):
-            try:
-                parsed = parse_domain(record.name, suffixes)
-            except DgaDetectError:
-                unparseable += 1
-                continue
+    unlabeled = 0
+    with open(args.data, "rb") as fp:
+        for record, parsed in ingest.read_domains(fp, _load_suffixes(args), stats):
             row = labels.get(parsed.fqdn)
             if row is None:
                 unlabeled += 1
@@ -103,7 +100,7 @@ def _load_labeled_examples(args, suffixes: SuffixDb) -> tuple[list[ingest.Labele
             examples.append(
                 ingest.LabeledExample(record=record, parsed=parsed, label=row[0], source=row[1])
             )
-    return examples, stats.as_dict() | {"unparseable_names": unparseable, "unlabeled": unlabeled}
+    return examples, stats.as_dict() | {"unlabeled": unlabeled}
 
 
 def _load_ext_scores(args) -> dict[str, float] | None:
@@ -113,15 +110,22 @@ def _load_ext_scores(args) -> dict[str, float] | None:
         return ingest.load_scores_csv(fp)
 
 
-def _vectorize_for(args, examples, feature_set, geo, codes=None):
-    ext = _load_ext_scores(args)
-    if feature_set.ext and ext is None:
-        raise SchemaMismatchError("this feature set needs --scores with external scores")
-    if codes is None:
-        codes = sideinfo.build_country_codes(
-            sideinfo.observed_countries((ex.record for ex in examples), geo)
-        )
-    return ingest.vectorize(examples, geo, codes, ext), codes
+def _labeled_vectors(args, feature_set):
+    """Labeled vectors of --data, the country-code table built from its
+    addresses, and the parse stats."""
+    examples, stats = _load_labeled_examples(args)
+    geo = _load_geo(args)
+    codes = sideinfo.build_country_codes(
+        sideinfo.observed_countries((ex.record for ex in examples), geo)
+    )
+    build = ingest.record_vectorizer(feature_set, geo, codes, _load_ext_scores(args))
+    return [build(ex.record, ex.parsed, ex.label) for ex in examples], codes, stats
+
+
+def _model_vectorizer(args, model: forest.ForestModel):
+    geo = _load_geo(args) if model.feature_set.dns else None
+    return ingest.record_vectorizer(model.feature_set, geo, model.country_codes,
+                                    _load_ext_scores(args))
 
 
 def cmd_synth(args) -> int:
@@ -142,18 +146,14 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.time()
-    suffixes = _load_suffixes(args)
     feature_set = forest.FeatureSet.parse(args.features)
-    examples, parse_stats = _load_labeled_examples(args, suffixes)
-    geo = _load_geo(args)
-    vectors, codes = _vectorize_for(args, examples, feature_set, geo)
+    vectors, codes, parse_stats = _labeled_vectors(args, feature_set)
     cfg = forest.TrainConfig(seed=args.seed, target_fpr=args.target_fpr)
     model = forest.train(vectors, feature_set, cfg, country_codes=codes)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     model.save(out)
-    _write_manifest(out, "train", args,
-                    [Path(args.data), Path(args.labels) if args.labels else Path(args.data).with_suffix(".labels.csv")],
+    _write_manifest(out, "train", args, [Path(args.data), _labels_path(args)],
                     [out], started, stats=parse_stats)
     print(f"trained {feature_set.id} model ({cfg.n_trees} trees), threshold "
           f"{model.threshold:.6f}, saved to {out}", file=sys.stderr)
@@ -164,36 +164,20 @@ def cmd_classify(args) -> int:
     started = time.time()
     model = forest.ForestModel.load(args.model)
     suffixes = _load_suffixes(args)
-    geo = _load_geo(args) if model.feature_set.dns else None
-    ext = _load_ext_scores(args)
-    if model.feature_set.ext and ext is None:
-        raise SchemaMismatchError("hybrid model needs --scores with external scores")
-    codes = model.country_codes or CountryCodes.from_dict({sideinfo.UNKNOWN: 0, sideinfo.MULTI_VALUED: 1})
+    build = _model_vectorizer(args, model)
 
-    src = open(args.data, encoding="utf-8") if args.data else sys.stdin
+    src = open(args.data, "rb") if args.data else sys.stdin.buffer
     dst = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     stats = ingest.ParseStats()
-    skipped_domains = 0
     try:
-        for record in ingest.read_pdns(src, stats):
-            try:
-                parsed = parse_domain(record.name, suffixes)
-            except DgaDetectError:
-                skipped_domains += 1
-                continue
-            lex = extract_lexical(parsed)
-            side = extract_sideinfo(record, geo, codes) if model.feature_set.dns else None
-            ext_score = None
-            if model.feature_set.ext:
-                if parsed.fqdn not in ext:
-                    raise SchemaMismatchError(f"no external score for {parsed.fqdn}")
-                ext_score = ext[parsed.fqdn]
-            score = model.score(FeatureVector(lexical=lex, sideinfo=side, ext_score=ext_score))
+        for record, parsed in ingest.read_domains(src, suffixes, stats):
+            score = model.score(build(record, parsed))
             dst.write(json.dumps({
                 "domain": parsed.fqdn,
                 "score": score,
                 "verdict": "dga" if score >= model.threshold else "benign",
             }, separators=(",", ":")) + "\n")
+            dst.flush()  # inline use: each verdict leaves as soon as it exists
     finally:
         if args.data:
             src.close()
@@ -202,21 +186,17 @@ def cmd_classify(args) -> int:
     if args.out:
         _write_manifest(Path(args.out), "classify", args,
                         [Path(args.model)] + ([Path(args.data)] if args.data else []),
-                        [Path(args.out)], started,
-                        stats=stats.as_dict() | {"unparseable_names": skipped_domains})
-    print(f"classified {stats.parsed - skipped_domains} domains "
-          f"({stats.skipped} malformed lines, {skipped_domains} unparseable names)",
+                        [Path(args.out)], started, stats=stats.as_dict())
+    print(f"classified {stats.parsed - stats.unparseable_names} domains "
+          f"({stats.skipped} malformed lines, {stats.unparseable_names} unparseable names)",
           file=sys.stderr)
     return 0
 
 
 def cmd_evaluate(args) -> int:
     started = time.time()
-    suffixes = _load_suffixes(args)
     feature_set = forest.FeatureSet.parse(args.features)
-    examples, parse_stats = _load_labeled_examples(args, suffixes)
-    geo = _load_geo(args)
-    vectors, _ = _vectorize_for(args, examples, feature_set, geo)
+    vectors, _, parse_stats = _labeled_vectors(args, feature_set)
     cfg = forest.TrainConfig(seed=args.seed, target_fpr=args.target_fpr)
     report = evaluation.cross_validate(vectors, feature_set, cfg, k=args.folds, seed=args.seed)
     out = Path(args.out)
@@ -241,30 +221,14 @@ def cmd_audit(args) -> int:
     started = time.time()
     model = forest.ForestModel.load(args.model)
     suffixes = _load_suffixes(args)
-    geo = _load_geo(args)
+    build = _model_vectorizer(args, model)
     blacklist = ingest.Blacklist.from_file(args.blacklist).domains if args.blacklist else frozenset()
     whitelist = ingest.load_whitelist(args.whitelist) if args.whitelist else frozenset()
-    ext = _load_ext_scores(args)
-    codes = model.country_codes or CountryCodes.from_dict({sideinfo.UNKNOWN: 0, sideinfo.MULTI_VALUED: 1})
 
-    items = []
     stats = ingest.ParseStats()
-    with open(args.data, encoding="utf-8") as fp:
-        for record in ingest.read_pdns(fp, stats):
-            try:
-                parsed = parse_domain(record.name, suffixes)
-            except DgaDetectError:
-                continue
-            ext_score = None
-            if model.feature_set.ext:
-                if ext is None or parsed.fqdn not in ext:
-                    raise SchemaMismatchError(f"no external score for {parsed.fqdn}")
-                ext_score = ext[parsed.fqdn]
-            items.append((parsed, FeatureVector(
-                lexical=extract_lexical(parsed),
-                sideinfo=extract_sideinfo(record, geo, codes) if model.feature_set.dns else None,
-                ext_score=ext_score,
-            )))
+    with open(args.data, "rb") as fp:
+        items = [(parsed, build(record, parsed))
+                 for record, parsed in ingest.read_domains(fp, suffixes, stats)]
     report = evaluation.audit(items, model, blacklist, whitelist)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -278,12 +242,10 @@ def cmd_audit(args) -> int:
 def cmd_attack(args) -> int:
     started = time.time()
     model = forest.ForestModel.load(args.model)
-    suffixes = _load_suffixes(args)
-    examples, parse_stats = _load_labeled_examples(args, suffixes)
-    geo = _load_geo(args)
-    codes = model.country_codes or sideinfo.build_country_codes(
-        sideinfo.observed_countries((ex.record for ex in examples), geo)
-    )
+    examples, parse_stats = _load_labeled_examples(args)
+    codes = model.country_codes
+    if codes is None and not model.feature_set.dns:
+        codes = sideinfo.build_country_codes([])  # a lexical model never reads the donors' side info
     cfg = adversarial.AttackConfig(
         n_domains=args.n_domains, n_trials=args.trials, seed=args.seed,
         mutation_count=args.mutations,
@@ -291,7 +253,7 @@ def cmd_attack(args) -> int:
     seeds = [ex.parsed for ex in examples
              if ex.label is Label.BENIGN and len(ex.parsed.sld) > cfg.mutation_count]
     dga_examples = [ex for ex in examples if ex.label is Label.DGA]
-    dga_pool = ingest.vectorize(dga_examples, geo, codes)
+    dga_pool = ingest.vectorize(dga_examples, _load_geo(args), codes)
     report = adversarial.robustness_eval(
         model, seeds, dga_pool, cfg, collect_flagged=bool(args.flagged_out)
     )

@@ -17,7 +17,6 @@ from .errors import (
     EmptySldError,
     InvalidDomainError,
     NoValidSuffixError,
-    SchemaMismatchError,
 )
 
 if TYPE_CHECKING:
@@ -108,22 +107,6 @@ class FeatureVector:
     def __post_init__(self):
         if self.ext_score is not None and not 0.0 <= self.ext_score <= 1.0:
             raise ValueError(f"ext_score must lie in [0,1], got {self.ext_score}")
-
-    def value(self, name: str) -> float:
-        """Look one feature up by its published schema name."""
-        if name == "ext_score":
-            if self.ext_score is None:
-                raise SchemaMismatchError("vector has no external score")
-            return float(self.ext_score)
-        lex = self.lexical.as_dict()
-        if name in lex:
-            return float(lex[name])
-        if self.sideinfo is None:
-            raise SchemaMismatchError(f"vector has no side-information block ({name})")
-        side = self.sideinfo.as_dict()
-        if name in side:
-            return float(side[name])
-        raise KeyError(name)
 
 
 class SuffixDb:

@@ -82,3 +82,10 @@ class MalformedIpError(DgaDetectError):
     """An address in the record's data section failed IP parsing."""
 
     exit_code = 15
+
+
+class ModelFormatError(DgaDetectError, ValueError):
+    """A model file is not valid JSON, lacks a field, or carries trees
+    that cannot be walked."""
+
+    exit_code = 17

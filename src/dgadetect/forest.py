@@ -24,12 +24,13 @@ import numpy as np
 from .core import FeatureVector
 from .errors import (
     EmptyDataError,
+    ModelFormatError,
     NoNegativesError,
     SchemaMismatchError,
     SingleClassError,
 )
 from .lexical import LEXICAL_FEATURES
-from .sideinfo import SIDEINFO_FEATURES, CountryCodes
+from .sideinfo import MULTI_VALUED, SIDEINFO_FEATURES, UNKNOWN, CountryCodes
 
 MODEL_FORMAT = "dgadetect-forest"
 MODEL_VERSION = 1
@@ -189,6 +190,37 @@ class Tree:
             count=np.asarray(obj["count"], dtype=np.int64),
             candidates=tuple(obj["candidates"]),
         )
+
+
+def _check_topology(trees: Sequence[Tree], width: int) -> None:
+    """Raise ValueError unless every walk from every root ends at a leaf:
+    internal nodes read a schema feature and have both children, each
+    after its parent; leaves have none; probabilities lie in [0, 1].
+
+    The checks run once over all trees' nodes together, which keeps them
+    a small share of model loading.
+    """
+    sizes = np.array([len(t.feature) for t in trees], dtype=np.int32)
+    for t, n in zip(trees, sizes):
+        if n == 0 or any(len(a) != n for a in (t.threshold, t.left, t.right, t.prob)):
+            raise ValueError("a tree's arrays are empty or of unequal length")
+    feature, left, right, prob = (
+        np.concatenate([getattr(t, name) for t in trees])
+        for name in ("feature", "left", "right", "prob")
+    )
+    # each node's index within its own tree, and its tree's size
+    node = np.arange(len(feature), dtype=np.int32) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    n = np.repeat(sizes, sizes)
+    leaf = feature < 0
+    for ok, defect in (
+        (np.all((feature >= -1) & (feature < width)), "references features outside the schema"),
+        (np.all((left[leaf] == -1) & (right[leaf] == -1)), "has a leaf with children"),
+        (np.all(((left > node) & (left < n) & (right > node) & (right < n))[~leaf]),
+         "has a child index out of range or not after its parent"),
+        (np.all((prob >= 0.0) & (prob <= 1.0)), "has a probability outside [0, 1]"),
+    ):
+        if not ok:
+            raise ValueError(f"a tree {defect}")
 
 
 def entropy(counts: tuple[int, int] | Sequence[int]) -> float:
@@ -397,9 +429,6 @@ class ForestModel:
     def score(self, v: FeatureVector) -> float:
         return float(self.score_many([v])[0])
 
-    def verdict(self, v: FeatureVector) -> bool:
-        return self.score(v) >= self.threshold
-
     # --- serialization ---------------------------------------------------
 
     def to_json_bytes(self) -> bytes:
@@ -418,13 +447,32 @@ class ForestModel:
 
     @classmethod
     def from_json_bytes(cls, raw: bytes) -> "ForestModel":
-        obj = json.loads(raw.decode("utf-8"))
-        if obj.get("format") != MODEL_FORMAT:
+        """Parse and validate a model file.  Every defect, from bad JSON to
+        a tree that cannot be walked, raises ModelFormatError."""
+        try:
+            # the parsed JSON is freed before the checks allocate
+            model = cls._from_obj(json.loads(raw))
+            if not model.trees:
+                raise ValueError("model file carries no trees")
+            if model.schema != model.feature_set.feature_names():
+                raise ValueError("schema does not match the declared feature set")
+            _check_topology(model.trees, len(model.schema))
+        except KeyError as exc:
+            raise ModelFormatError(f"model file lacks the field {exc}") from None
+        except (ValueError, TypeError) as exc:
+            raise ModelFormatError(f"invalid model file: {exc}") from exc
+        return model
+
+    @classmethod
+    def _from_obj(cls, obj) -> "ForestModel":
+        if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
             raise ValueError("not a forest model file")
         if obj.get("version") != MODEL_VERSION:
             raise ValueError(f"unsupported model version {obj.get('version')}")
         codes = obj.get("country_codes")
-        model = cls(
+        if codes is not None and not {UNKNOWN, MULTI_VALUED} <= set(codes):
+            raise ValueError("the country-code table lacks its reserved names")
+        return cls(
             feature_set=FeatureSet.parse(obj["feature_set"]),
             schema=tuple(obj["schema"]),
             trees=[Tree.from_obj(t) for t in obj["trees"]],
@@ -432,15 +480,6 @@ class ForestModel:
             country_codes=CountryCodes.from_dict(codes) if codes is not None else None,
             config=TrainConfig(**obj["config"]),
         )
-        if not model.trees:
-            raise ValueError("model file carries no trees")
-        if model.schema != model.feature_set.feature_names():
-            raise ValueError("schema does not match the declared feature set")
-        width = len(model.schema)
-        for tree in model.trees:
-            if len(tree.feature) and int(tree.feature.max()) >= width:
-                raise ValueError("tree references features outside the schema")
-        return model
 
     def save(self, path) -> None:
         with open(path, "wb") as fp:

@@ -1,5 +1,6 @@
-"""Passive-DNS stream parsing, benign-candidate heuristics, list matching,
-and the labeled synthetic dataset generator."""
+"""Passive-DNS stream parsing, the record -> feature-vector step shared by
+every command, benign-candidate heuristics and the labeled synthetic
+dataset generator."""
 
 from __future__ import annotations
 
@@ -8,20 +9,17 @@ import ipaddress
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
-from typing import Callable, Container, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Container, Iterable, Iterator, Sequence
 
-from .core import DnsRecord, FeatureVector, Label, ParsedDomain, SuffixDb
-from .errors import SchemaMismatchError
+from .core import DnsRecord, FeatureVector, Label, ParsedDomain, SuffixDb, parse_domain
+from .errors import InvalidDomainError, MalformedIpError, SchemaMismatchError
+from .forest import FeatureSet
 from .lexical import LEXICAL_FEATURES, extract_lexical
-from .sideinfo import SIDEINFO_FEATURES, CountryCodes, GeoDb, extract_sideinfo
+from .sideinfo import SIDEINFO_FEATURES, CountryCodes, GeoDb, extract_sideinfo, parse_ip
 
 _NAME_RE = re.compile(r"^[a-z0-9.\-]+$")
-
-#: Human-readable DGA families excluded from training positives: their
-#: domains read like natural language and poison the classifier.
-DICTIONARY_FAMILIES = frozenset({"suppobox", "gozi", "matsnu", "nymaim2"})
 
 HEURISTIC_RULES: tuple[str, ...] = (
     "valid_chars",
@@ -112,12 +110,11 @@ def benign_filter(
 
 
 class Blacklist:
-    """Known-DGA domain list with optional per-entry family tags."""
+    """Known-DGA domain list.  A line may carry a ``,family`` tag after the
+    domain; the tag is accepted and ignored."""
 
-    def __init__(self, entries: Iterable[tuple[str, str | None]]):
-        self._families: dict[str, str | None] = {}
-        for domain, family in entries:
-            self._families[domain.strip().lower()] = family
+    def __init__(self, domains: Iterable[str]):
+        self.domains = frozenset(d.strip().lower() for d in domains)
 
     @classmethod
     def from_file(cls, path) -> "Blacklist":
@@ -130,32 +127,17 @@ class Blacklist:
         return cls(cls._parse_lines(text.splitlines()))
 
     @staticmethod
-    def _parse_lines(lines) -> Iterator[tuple[str, str | None]]:
+    def _parse_lines(lines) -> Iterator[str]:
         for line in lines:
             line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            domain, _, family = line.partition(",")
-            yield domain, (family.strip() or None)
+            if line and not line.startswith("#"):
+                yield line.partition(",")[0]
 
     def __contains__(self, domain: str) -> bool:
-        return domain in self._families
+        return domain in self.domains
 
     def __len__(self) -> int:
-        return len(self._families)
-
-    @property
-    def domains(self) -> frozenset[str]:
-        return frozenset(self._families)
-
-    def family(self, domain: str) -> str | None:
-        return self._families.get(domain)
-
-    def training_domains(self) -> frozenset[str]:
-        """Domains usable as training positives (dictionary families dropped)."""
-        return frozenset(
-            d for d, fam in self._families.items() if fam not in DICTIONARY_FAMILIES
-        )
+        return len(self.domains)
 
 
 def load_whitelist(path) -> frozenset[str]:
@@ -169,14 +151,16 @@ def load_whitelist(path) -> frozenset[str]:
 
 @dataclass
 class ParseStats:
-    """Line counters for one pDNS parse pass."""
+    """Counters for one pDNS pass: lines read, records parsed, malformed
+    lines skipped, and parsed records whose name has no SLD.TLD."""
 
     lines: int = 0
     parsed: int = 0
     skipped: int = 0
+    unparseable_names: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {"lines": self.lines, "parsed": self.parsed, "skipped": self.skipped}
+        return asdict(self)
 
 
 def _record_from_obj(obj) -> DnsRecord | None:
@@ -197,15 +181,21 @@ def _record_from_obj(obj) -> DnsRecord | None:
         return None
     if not isinstance(data, list) or not data or not all(isinstance(d, str) for d in data):
         return None
+    try:
+        for ip in data:
+            parse_ip(ip)
+    except MalformedIpError:
+        return None
     return DnsRecord(name=name, ttl=ttl, qtype=qtype, rtype=rtype, rclass=rclass, data=tuple(data))
 
 
 def read_pdns(stream: Iterable[str | bytes], stats: ParseStats | None = None) -> Iterator[DnsRecord]:
     """Stream DnsRecords out of a JSONL source, one object per line.
 
-    Malformed lines are counted in ``stats`` and skipped, never fatal.
-    Order is preserved.  Unreadable streams surface the underlying
-    OSError.
+    Malformed lines (not UTF-8, not JSON, a missing or mistyped field, an
+    address that is not an IP) are counted in ``stats`` and skipped, never
+    fatal.  Order is preserved.  Unreadable streams surface the
+    underlying OSError.
     """
     if stats is None:
         stats = ParseStats()
@@ -234,6 +224,20 @@ def read_pdns(stream: Iterable[str | bytes], stats: ParseStats | None = None) ->
         yield record
 
 
+def read_domains(
+    stream: Iterable[str | bytes], suffixes: SuffixDb, stats: ParseStats
+) -> Iterator[tuple[DnsRecord, ParsedDomain]]:
+    """:func:`read_pdns` plus each record's SLD.TLD.  Records whose name
+    does not parse are counted in ``stats.unparseable_names`` and skipped."""
+    for record in read_pdns(stream, stats):
+        try:
+            parsed = parse_domain(record.name, suffixes)
+        except InvalidDomainError:
+            stats.unparseable_names += 1
+            continue
+        yield record, parsed
+
+
 def record_to_json(record: DnsRecord) -> str:
     """One JSONL line for a record, with a fixed key order."""
     return json.dumps(
@@ -255,26 +259,6 @@ def write_pdns(records: Iterable[DnsRecord], fp) -> int:
         fp.write(record_to_json(record) + "\n")
         n += 1
     return n
-
-
-class ListMembership(NamedTuple):
-    in_blacklist: bool
-    in_whitelist: bool
-    in_both: bool
-
-
-def match_lists(
-    domains: Iterable[ParsedDomain],
-    blacklist: Container[str],
-    whitelist: Container[str],
-) -> list[ListMembership]:
-    """Per-domain blacklist/whitelist membership on normalized SLD.TLD keys."""
-    out = []
-    for d in domains:
-        b = d.fqdn in blacklist
-        w = d.fqdn in whitelist
-        out.append(ListMembership(b, w, b and w))
-    return out
 
 
 @dataclass(frozen=True)
@@ -459,36 +443,57 @@ def synth_dataset(
 # --- feature assembly ---------------------------------------------------
 
 
+def record_vectorizer(
+    feature_set: FeatureSet,
+    geo: GeoDb | None,
+    codes: CountryCodes | None,
+    ext_scores: dict[str, float] | None = None,
+) -> Callable[..., FeatureVector]:
+    """The record -> feature-vector step behind every command.
+
+    Returns ``build(record, parsed, label=None)``, whose vector carries the
+    lexical block plus the side-information block and the external score
+    when ``feature_set`` names them.  Raises SchemaMismatchError up front
+    when a dns feature set has no country-code table or an ext-score set
+    has no scores, and per row when a domain has no external score: the
+    hybrid schema has no imputation for missing upstream scores.
+    """
+    if feature_set.dns and codes is None:
+        raise SchemaMismatchError(
+            "the dns block needs a country-code table (a dns model saved without one cannot be scored)"
+        )
+    if feature_set.ext and ext_scores is None:
+        raise SchemaMismatchError("the ext-score block needs external scores (--scores)")
+
+    def build(record: DnsRecord, parsed: ParsedDomain, label: Label | None = None) -> FeatureVector:
+        ext = None
+        if feature_set.ext:
+            try:
+                ext = ext_scores[parsed.fqdn]
+            except KeyError:
+                raise SchemaMismatchError(f"no external score for {parsed.fqdn}") from None
+        return FeatureVector(
+            lexical=extract_lexical(parsed),
+            sideinfo=extract_sideinfo(record, geo, codes) if feature_set.dns else None,
+            ext_score=ext,
+            label=label,
+        )
+
+    return build
+
+
 def vectorize(
     examples: Sequence[LabeledExample],
     geo: GeoDb,
     countries: CountryCodes,
     ext_scores: dict[str, float] | None = None,
 ) -> list[FeatureVector]:
-    """Extract full feature vectors (lexical + side info) for a dataset.
-
-    When ``ext_scores`` is given, every domain must appear in it; the
-    hybrid schema has no imputation for missing upstream scores.
-    """
-    vectors = []
-    for ex in examples:
-        ext = None
-        if ext_scores is not None:
-            try:
-                ext = ext_scores[ex.parsed.fqdn]
-            except KeyError:
-                raise SchemaMismatchError(
-                    f"no external score for {ex.parsed.fqdn}"
-                ) from None
-        vectors.append(
-            FeatureVector(
-                lexical=extract_lexical(ex.parsed),
-                sideinfo=extract_sideinfo(ex.record, geo, countries),
-                ext_score=ext,
-                label=ex.label,
-            )
-        )
-    return vectors
+    """Full labeled feature vectors (lexical + side info, plus the external
+    score when ``ext_scores`` is given) for a dataset, built by
+    :func:`record_vectorizer`."""
+    feature_set = FeatureSet(dns=True, lexical=True, ext=ext_scores is not None)
+    build = record_vectorizer(feature_set, geo, countries, ext_scores)
+    return [build(ex.record, ex.parsed, ex.label) for ex in examples]
 
 
 # --- CSV plumbing --------------------------------------------------------
@@ -511,10 +516,6 @@ def load_labeled_rows(fp) -> dict[str, tuple[Label, str]]:
         source = row[2].strip() if len(row) > 2 and row[2].strip() else "unlabeled"
         rows[row[0].strip().lower()] = (Label(int(row[1])), source)
     return rows
-
-
-def load_labels_csv(fp) -> dict[str, Label]:
-    return {domain: label for domain, (label, _) in load_labeled_rows(fp).items()}
 
 
 def load_scores_csv(fp) -> dict[str, float]:

@@ -2,9 +2,8 @@
 encoding used to interoperate with external string classifiers.
 
 All functions are pure; feature extraction never touches the network.
-The published feature schema (names and order) is versioned through
-``LEXICAL_SCHEMA_VERSION`` and CSV exports must use exactly these names
-as headers.
+CSV exports must use the published feature names, in schema order, as
+headers.
 """
 
 from __future__ import annotations
@@ -15,8 +14,6 @@ from dataclasses import dataclass
 
 from .core import ParsedDomain
 from .errors import DomainTooLongError
-
-LEXICAL_SCHEMA_VERSION = 1
 
 #: Published feature names, in schema order.
 LEXICAL_FEATURES: tuple[str, ...] = (
@@ -112,8 +109,6 @@ class LexicalFeatures:
     }
 
     def __post_init__(self):
-        # ent/gni/cer are excluded: the alternative character-probability
-        # denominator legitimately takes them outside [0, 1)
         for name in ("domain_len", "sld_len", "tld_len", "uni_domain", "uni_sld",
                      "uni_tld", "tld_hash", "tokens_sld", "digits_sld"):
             if getattr(self, name) < 0:
@@ -188,30 +183,15 @@ def ngram_circle_median(s: str, n: int) -> float:
     return ngram_median(s + s, n)
 
 
-def _char_probs(sld: str, denominator: str) -> list[float]:
-    counts = Counter(sld)
-    if denominator == "length":
-        denom = len(sld)
-    elif denominator == "unique":
-        denom = len(counts)
-    else:
-        raise ValueError(f"unknown denominator mode: {denominator!r}")
-    return [c / denom for c in counts.values()]
-
-
-def char_distribution_stats(sld: str, denominator: str = "length") -> tuple[float, float, float]:
-    """(ent, gni, cer) of the SLD's character distribution.
+def char_distribution_stats(sld: str) -> tuple[float, float, float]:
+    """(ent, gni, cer) of the SLD's character distribution, where p_i is
+    a character's count divided by the SLD length.
 
     ent = -sum(p_i * log2 p_i) / log2(sld_len), clamped to 0 for
     single-character SLDs where the normalizer log2(1) vanishes.
     gni = 1 - sum(p_i^2).  cer = 1 - max(p_i).
-
-    ``denominator`` selects what p_i is divided by: "length" (default,
-    makes the probabilities sum to 1 and ent land in [0,1]) or "unique"
-    (the count of distinct characters; kept as a documented alternative
-    reading, under which ent is not normalized to [0,1]).
     """
-    probs = _char_probs(sld, denominator)
+    probs = [c / len(sld) for c in Counter(sld).values()]
     gni = 1.0 - sum(p * p for p in probs)
     cer = 1.0 - max(probs)
     if len(sld) < 2:
@@ -225,7 +205,7 @@ def _adjacent_pair_count(s: str, charset: frozenset[str]) -> int:
     return sum(1 for a, b in zip(s, s[1:]) if a in charset and b in charset)
 
 
-def extract_lexical(d: ParsedDomain, *, char_prob_denominator: str = "length") -> LexicalFeatures:
+def extract_lexical(d: ParsedDomain) -> LexicalFeatures:
     """Compute all 26 lexical features of a parsed domain.
 
     Ratios sym/hex/dig/vow/con are over SLD characters; the consecutive
@@ -240,7 +220,7 @@ def extract_lexical(d: ParsedDomain, *, char_prob_denominator: str = "length") -
         return s.replace(".", "").replace("-", "")
 
     sld_chars = strip_specials(sld)
-    ent, gni, cer = char_distribution_stats(sld, char_prob_denominator)
+    ent, gni, cer = char_distribution_stats(sld)
     uni_sld = len(set(sld_chars))
     repeated = sum(1 for _, c in Counter(sld_chars).items() if c > 1)
 

@@ -17,8 +17,6 @@ from typing import Iterable
 from .core import DnsRecord
 from .errors import MalformedIpError
 
-SIDEINFO_SCHEMA_VERSION = 1
-
 #: Published feature names, in schema order.
 SIDEINFO_FEATURES: tuple[str, ...] = (
     "rrlength",

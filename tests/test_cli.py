@@ -1,10 +1,15 @@
 import json
+import os
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
+import dgadetect
 from dgadetect.cli import main
+from dgadetect.errors import ModelFormatError, SchemaMismatchError
 from dgadetect.forest import ForestModel
 
 
@@ -254,9 +259,111 @@ def test_exit_codes_distinct():
         errors.NoNegativesError, errors.TooFewExamplesError, errors.PoolTooSmallError,
         errors.SeedTooShortError, errors.InvalidDomainError, errors.NoValidSuffixError,
         errors.EmptySldError, errors.DomainTooLongError, errors.MalformedIpError,
-        errors.DgaDetectError,
+        errors.ModelFormatError, errors.DgaDetectError,
     ]
     codes = [c.exit_code for c in classes]
     assert len(set(codes)) == len(codes)
     assert 3 not in codes  # io code is reserved for OSError
     assert all(c != 0 for c in codes)
+
+
+MALFORMED_LINES = {
+    "bad-ip": b'{"name":"badip.com","ttl":60,"type":1,"class":1,"data":["999.1.1.1"]}',
+    "not-utf8": b"\xff\xfe",
+}
+
+
+def _data_with_line(workspace, tmp_path, line: bytes):
+    """The workspace stream with one extra line in its middle."""
+    lines = (workspace / "data.jsonl").read_bytes().splitlines(keepends=True)
+    path = tmp_path / "mixed.jsonl"
+    path.write_bytes(b"".join(lines[:100] + [line + b"\n"] + lines[100:]))
+    return path
+
+
+def _stats(out):
+    return json.loads(open(str(out) + ".manifest.json").read())["stats"]
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_LINES))
+def test_classify_skips_malformed_line(workspace, tmp_path, kind):
+    data = _data_with_line(workspace, tmp_path, MALFORMED_LINES[kind])
+    out = tmp_path / "verdicts.jsonl"
+    assert _run(["classify", "--model", workspace / "model.json", "--data", data, "--out", out]) == 0
+    assert len(out.read_text().splitlines()) == 240
+    assert _stats(out) == {"lines": 241, "parsed": 240, "skipped": 1, "unparseable_names": 0}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_LINES))
+def test_audit_skips_malformed_line(workspace, tmp_path, kind):
+    data = _data_with_line(workspace, tmp_path, MALFORMED_LINES[kind])
+    out = tmp_path / "audit.json"
+    assert _run(["audit", "--model", workspace / "model.json", "--data", data, "--out", out]) == 0
+    assert json.loads(out.read_text())["raw"]["total"] == 240
+    assert _stats(out) == {"lines": 241, "parsed": 240, "skipped": 1, "unparseable_names": 0}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_LINES))
+def test_train_skips_malformed_line(workspace, tmp_path, kind):
+    data = _data_with_line(workspace, tmp_path, MALFORMED_LINES[kind])
+    out = tmp_path / "model.json"
+    assert _run([
+        "train", "--data", data, "--labels", workspace / "data.labels.csv",
+        "--features", "dns+lexical", "--seed", 5, "--out", out,
+    ]) == 0
+    assert out.read_bytes() == (workspace / "model.json").read_bytes()
+    assert _stats(out)["skipped"] == 1
+
+
+def test_classify_emits_each_verdict_before_eof(workspace):
+    """A verdict reaches a piped stdout while stdin is still open."""
+    first = (workspace / "data.jsonl").read_bytes().splitlines()[0]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(dgadetect.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dgadetect.cli", "classify", "--model", str(workspace / "model.json")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, env=env,
+    )
+    watchdog = threading.Timer(120, proc.kill)  # only ends a hung run; not a timing bound
+    watchdog.start()
+    try:
+        proc.stdin.write(first + b"\n")
+        proc.stdin.flush()
+        verdict = proc.stdout.readline()
+    finally:
+        proc.stdin.close()
+        proc.wait()
+        watchdog.cancel()
+    assert json.loads(verdict)["domain"] == json.loads(first)["name"]
+
+
+def test_bad_model_file_exit_code(workspace, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"format":"nope"}')
+    code = _run(["classify", "--model", bad, "--data", workspace / "data.jsonl",
+                 "--out", tmp_path / "v.jsonl"])
+    assert code == ModelFormatError.exit_code
+
+
+def test_cyclic_model_file_exit_code(workspace, tmp_path):
+    obj = json.loads((workspace / "model.json").read_bytes())
+    tree = obj["trees"][0]
+    tree["left"][0] = 0  # the root becomes its own child
+    cyclic = tmp_path / "cyclic.json"
+    cyclic.write_text(json.dumps(obj))
+    code = _run(["audit", "--model", cyclic, "--data", workspace / "data.jsonl",
+                 "--out", tmp_path / "a.json"])
+    assert code == ModelFormatError.exit_code
+
+
+def test_dns_model_without_country_codes_refused(workspace, tmp_path):
+    obj = json.loads((workspace / "model.json").read_bytes())
+    obj["country_codes"] = None
+    model = tmp_path / "nocodes.json"
+    model.write_text(json.dumps(obj))
+    for command in ("classify", "audit"):
+        out = tmp_path / f"{command}.out"
+        code = _run([command, "--model", model, "--data", workspace / "data.jsonl", "--out", out])
+        assert code == SchemaMismatchError.exit_code
+        assert not out.exists()

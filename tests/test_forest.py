@@ -6,6 +6,7 @@ import pytest
 from dgadetect.core import FeatureVector, Label
 from dgadetect.errors import (
     EmptyDataError,
+    ModelFormatError,
     NoNegativesError,
     SchemaMismatchError,
     SingleClassError,
@@ -419,11 +420,59 @@ def test_model_corruption_guards(small_dataset):
         ForestModel.from_json_bytes(_json.dumps(no_trees).encode())
 
 
-def test_model_verdict_uses_threshold(small_dataset):
+def _first_split(tree: dict) -> int:
+    return next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+
+
+@pytest.mark.parametrize("corrupt", [
+    "cyclic-child", "child-out-of-range", "leaf-with-child", "internal-without-child",
+    "prob-above-one", "ragged-arrays",
+])
+def test_model_tree_topology_validated(small_dataset, corrupt):
     _, vectors, _ = small_dataset
-    model = train(vectors, FeatureSet.parse("dns+lexical"), TrainConfig(n_trees=10, seed=3))
-    for v in vectors[:50]:
-        assert model.verdict(v) == (model.score(v) >= model.threshold)
+    model = train(vectors, FeatureSet.parse("lexical"), TrainConfig(n_trees=2, seed=1))
+    import json as _json
+
+    obj = _json.loads(model.to_json_bytes())
+    tree = obj["trees"][1]
+    node = _first_split(tree)
+    leaf = tree["feature"].index(-1)
+    if corrupt == "cyclic-child":
+        tree["right"][node] = node  # a walk would revisit this node forever
+    elif corrupt == "child-out-of-range":
+        tree["left"][node] = len(tree["feature"])
+    elif corrupt == "leaf-with-child":
+        tree["left"][leaf] = leaf + 1
+    elif corrupt == "internal-without-child":
+        tree["right"][node] = -1
+    elif corrupt == "prob-above-one":
+        tree["prob"][leaf] = 1.5
+    else:
+        tree["prob"].pop()
+    with pytest.raises(ModelFormatError):
+        ForestModel.from_json_bytes(_json.dumps(obj).encode())
+
+
+def test_model_country_codes_need_reserved_names(small_dataset):
+    _, vectors, _ = small_dataset
+    model = train(vectors, FeatureSet.parse("dns"), TrainConfig(n_trees=2, seed=1),
+                  country_codes=small_dataset[2])
+    import json as _json
+
+    obj = _json.loads(model.to_json_bytes())
+    del obj["country_codes"]["unknown"]  # scoring would look this name up
+    with pytest.raises(ModelFormatError):
+        ForestModel.from_json_bytes(_json.dumps(obj).encode())
+
+
+@pytest.mark.parametrize("raw", [
+    b"{not json", b"\xff\xfe", b"[1, 2]", b'{"format":"nope"}',
+    b'{"format":"dgadetect-forest","version":1}',
+], ids=["not-json", "not-utf8", "not-an-object", "wrong-format", "missing-fields"])
+def test_model_format_errors_are_typed(raw):
+    with pytest.raises(ModelFormatError) as info:
+        ForestModel.from_json_bytes(raw)
+    assert isinstance(info.value, ValueError)
 
 
 # --- feature sets -----------------------------------------------------------

@@ -5,17 +5,19 @@ import pytest
 
 from dgadetect.core import DnsRecord, Label, ParsedDomain
 from dgadetect.errors import SchemaMismatchError
+from dgadetect.forest import FeatureSet
 from dgadetect.ingest import (
     HEURISTIC_RULES,
     Blacklist,
     LabeledExample,
     ParseStats,
     benign_filter,
-    load_labels_csv,
+    load_labeled_rows,
     load_scores_csv,
-    match_lists,
+    read_domains,
     read_pdns,
     record_to_json,
+    record_vectorizer,
     synth_dataset,
     vectorize,
     write_labels_csv,
@@ -107,18 +109,15 @@ def test_filter_rejects_bundled_blacklist(suffix_db):
 # --- blacklist -----------------------------------------------------------
 
 
-def test_blacklist_families_and_training_exclusion(tmp_path):
+def test_blacklist_accepts_family_tags(tmp_path):
     p = tmp_path / "bl.txt"
     p.write_text(
-        "# comment\nrandomxyz.com,necurs\nwordyword.net,suppobox\nplainentry.org\n",
+        "# comment\nRandomXYZ.com,necurs\nwordyword.net,suppobox\nplainentry.org\n",
         encoding="utf-8",
     )
     bl = Blacklist.from_file(p)
-    assert "randomxyz.com" in bl
-    assert bl.family("randomxyz.com") == "necurs"
-    assert bl.family("plainentry.org") is None
-    assert "wordyword.net" in bl  # membership keeps dictionary families
-    assert bl.training_domains() == {"randomxyz.com", "plainentry.org"}
+    assert bl.domains == {"randomxyz.com", "wordyword.net", "plainentry.org"}
+    assert "randomxyz.com" in bl and len(bl) == 3
 
 
 # --- pdns stream ---------------------------------------------------------
@@ -157,6 +156,31 @@ def test_read_pdns_accepts_bytes():
     assert len(list(read_pdns([raw]))) == 1
 
 
+def test_read_pdns_skips_undecodable_and_bad_ips():
+    lines = [
+        b"\xff\xfe\n",
+        b'{"name":"a.com","ttl":1,"type":1,"class":1,"data":["999.1.1.1"]}\n',
+        b'{"name":"b.com","ttl":1,"type":1,"class":1,"data":["1.1.1.1","not-an-ip"]}\n',
+        b'{"name":"c.com","ttl":1,"type":28,"class":1,"data":["2001:db8::1"]}\n',
+    ]
+    stats = ParseStats()
+    assert [r.name for r in read_pdns(lines, stats)] == ["c.com"]
+    assert (stats.lines, stats.parsed, stats.skipped) == (4, 1, 3)
+
+
+def test_read_domains_counts_unparseable_names(suffix_db):
+    lines = [
+        '{"name":"www.Example.com","ttl":1,"type":1,"class":1,"data":["1.1.1.1"]}',
+        '{"name":"com","ttl":1,"type":1,"class":1,"data":["1.1.1.1"]}',
+        '{"name":"bad_name.com","ttl":1,"type":1,"class":1,"data":["1.1.1.1"]}',
+        "not json",
+    ]
+    stats = ParseStats()
+    pairs = list(read_domains(lines, suffix_db, stats))
+    assert [(r.name, p.fqdn) for r, p in pairs] == [("www.Example.com", "example.com")]
+    assert stats.as_dict() == {"lines": 4, "parsed": 3, "skipped": 1, "unparseable_names": 2}
+
+
 def test_pdns_roundtrip_exact():
     records = [
         DnsRecord(name="a.com", ttl=300, qtype=1, rtype=1, rclass=1, data=("1.2.3.4",)),
@@ -178,15 +202,7 @@ def test_record_json_preserves_distinct_qtype():
     assert restored == r
 
 
-# --- list matching -------------------------------------------------------
-
-
-def test_match_lists():
-    domains = [ParsedDomain("both", "com"), ParsedDomain("neither", "com"), ParsedDomain("blonly", "com")]
-    flags = match_lists(domains, {"both.com", "blonly.com"}, {"both.com"})
-    assert flags[0] == (True, True, True)
-    assert flags[1] == (False, False, False)
-    assert flags[2] == (True, False, False)
+# --- labeled examples ----------------------------------------------------
 
 
 def test_labeled_example_consistency():
@@ -266,6 +282,23 @@ def test_vectorize_blocks_and_labels(geo):
     assert [int(v.label) for v in vectors] == [int(e.label) for e in examples]
 
 
+def test_record_vectorizer_blocks_follow_feature_set(geo):
+    ex = synth_dataset(1, 1, seed=13)[0]
+    codes = build_country_codes([])
+    lexical = record_vectorizer(FeatureSet.parse("lexical"), None, None)(ex.record, ex.parsed)
+    assert lexical.sideinfo is None and lexical.ext_score is None and lexical.label is None
+    build = record_vectorizer(FeatureSet.parse("dns+lexical"), geo, codes)
+    both = build(ex.record, ex.parsed, ex.label)
+    assert both.sideinfo is not None and both.label is ex.label
+
+
+def test_record_vectorizer_refuses_missing_tables(geo):
+    with pytest.raises(SchemaMismatchError):
+        record_vectorizer(FeatureSet.parse("dns"), geo, None)
+    with pytest.raises(SchemaMismatchError):
+        record_vectorizer(FeatureSet.parse("lexical+ext-score"), None, None)
+
+
 def test_vectorize_ext_scores_strict(geo):
     examples = synth_dataset(3, 3, seed=13)
     codes = build_country_codes([])
@@ -283,8 +316,8 @@ def test_labels_csv_roundtrip(geo, tmp_path):
     with open(p, "w", newline="") as fp:
         write_labels_csv(examples, fp)
     with open(p) as fp:
-        labels = load_labels_csv(fp)
-    assert labels == {e.parsed.fqdn: e.label for e in examples}
+        rows = load_labeled_rows(fp)
+    assert rows == {e.parsed.fqdn: (e.label, e.source) for e in examples}
 
 
 def test_scores_csv(tmp_path):

@@ -157,13 +157,6 @@ def test_ent_bounds():
         assert 0.0 <= lf.cer < 1.0
 
 
-def test_unique_char_prob_switch():
-    # alternative denominator reproduces the printed formula verbatim
-    lf = extract_lexical(ParsedDomain("aab", "com"), char_prob_denominator="unique")
-    # p = {a: 2/2, b: 1/2}; gni = 1 - (1 + 0.25) = -0.25
-    assert lf.gni == pytest.approx(-0.25, abs=1e-12)
-
-
 def test_schema_names_and_order():
     lf = extract_lexical(ParsedDomain("example", "com"))
     assert list(lf.as_dict()) == list(LEXICAL_FEATURES)
