@@ -2,7 +2,7 @@
 
 from .core import DnsRecord, FeatureVector, Label, ParsedDomain, SuffixDb, parse_domain
 from .forest import FeatureSet, ForestModel, TrainConfig, train
-from .lexical import LEXICAL_FEATURES, EncodedDomain, LexicalFeatures, encode_domain, extract_lexical
+from .lexical import LEXICAL_FEATURES, LexicalFeatures, extract_lexical
 from .sideinfo import (
     SIDEINFO_FEATURES,
     CountryCodes,
@@ -26,9 +26,7 @@ __all__ = [
     "TrainConfig",
     "train",
     "LEXICAL_FEATURES",
-    "EncodedDomain",
     "LexicalFeatures",
-    "encode_domain",
     "extract_lexical",
     "SIDEINFO_FEATURES",
     "CountryCodes",

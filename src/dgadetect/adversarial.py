@@ -4,7 +4,9 @@ The attack pairs evasive domains (benign names with a couple of character
 substitutions, so they read like legitimate traffic) with side-information
 blocks sampled from real DGA rows, then reports how often a model still
 flags them.  The domain list is generated once and held fixed; only the
-side-information sampling varies across trials.
+side-information sampling varies across trials.  Evasive names have no
+external score, so the protocol applies only to models without the
+ext-score block.
 """
 
 from __future__ import annotations
@@ -13,14 +15,15 @@ import json
 import random
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import FeatureVector, Label, ParsedDomain
 from .errors import PoolTooSmallError, SchemaMismatchError, SeedTooShortError
-from .forest import ForestModel
+from .forest import ForestModel, design_matrix
 from .lexical import extract_lexical
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
+_GENERATOR = "char-substitution"  # the only generator; attack reports name it
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,6 @@ class AttackConfig:
     n_domains: int = 1000
     n_trials: int = 5
     seed: int = 0
-    generator: str = "char-substitution"
     mutation_count: int = 2
 
     def __post_init__(self):
@@ -38,8 +40,6 @@ class AttackConfig:
             raise ValueError("n_trials must be positive")
         if self.mutation_count <= 0:
             raise ValueError("mutation_count must be positive")
-        if self.generator not in GENERATORS:
-            raise ValueError(f"unknown generator {self.generator!r}")
 
 
 def _char_substitution(seeds: Sequence[ParsedDomain], cfg: AttackConfig) -> list[ParsedDomain]:
@@ -57,11 +57,6 @@ def _char_substitution(seeds: Sequence[ParsedDomain], cfg: AttackConfig) -> list
                 break
         out.append(candidate)
     return out
-
-
-GENERATORS: dict[str, Callable[[Sequence[ParsedDomain], "AttackConfig"], list[ParsedDomain]]] = {
-    "char-substitution": _char_substitution,
-}
 
 
 def generate_evasive(seeds: Sequence[ParsedDomain], cfg: AttackConfig) -> list[ParsedDomain]:
@@ -83,7 +78,7 @@ def generate_evasive(seeds: Sequence[ParsedDomain], cfg: AttackConfig) -> list[P
             f"{len(short)} seed SLDs are too short for {cfg.mutation_count} mutations "
             f"(first: {short[0]})"
         )
-    return GENERATORS[cfg.generator](seeds, cfg)
+    return _char_substitution(seeds, cfg)
 
 
 def pair_sideinfo(
@@ -136,7 +131,7 @@ class RobustnessReport:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "generator": self.config.generator,
+                "generator": _GENERATOR,
                 "n_domains": self.config.n_domains,
                 "n_trials": self.config.n_trials,
                 "seed": self.config.seed,
@@ -180,7 +175,7 @@ def robustness_eval(
     flagged: list[tuple[str, ...]] = []
     for trial in range(cfg.n_trials):
         vectors = pair_sideinfo(domains, dga_pool, _trial_seed(cfg.seed, trial))
-        scores = model.score_many(vectors)
+        scores = model.score_matrix(design_matrix(vectors, model.feature_set))
         hits = scores >= model.threshold
         rates.append(float(hits.mean()))
         if collect_flagged:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import adversarial, evaluation, forest, ingest, sideinfo
 from .core import Label, SuffixDb
-from .errors import DgaDetectError
+from .errors import DgaDetectError, SchemaMismatchError
 from .sideinfo import GeoDb
 
 _EXIT_IO = 3
@@ -171,7 +171,8 @@ def cmd_classify(args) -> int:
     stats = ingest.ParseStats()
     try:
         for record, parsed in ingest.read_domains(src, suffixes, stats):
-            score = model.score(build(record, parsed))
+            X = forest.design_matrix([build(record, parsed)], model.feature_set)
+            score = float(model.score_matrix(X)[0])
             dst.write(json.dumps({
                 "domain": parsed.fqdn,
                 "score": score,
@@ -242,6 +243,11 @@ def cmd_audit(args) -> int:
 def cmd_attack(args) -> int:
     started = time.time()
     model = forest.ForestModel.load(args.model)
+    if model.feature_set.ext:
+        raise SchemaMismatchError(
+            "attack takes dns, lexical and dns+lexical models only: "
+            "the evasive names have no external score for an ext-score model"
+        )
     examples, parse_stats = _load_labeled_examples(args)
     codes = model.country_codes
     if codes is None and not model.feature_set.dns:

@@ -72,12 +72,6 @@ class EmptySldError(InvalidDomainError):
     exit_code = 13
 
 
-class DomainTooLongError(DgaDetectError):
-    """Domain string exceeds the fixed-width character encoding."""
-
-    exit_code = 14
-
-
 class MalformedIpError(DgaDetectError):
     """An address in the record's data section failed IP parsing."""
 
@@ -89,3 +83,10 @@ class ModelFormatError(DgaDetectError, ValueError):
     that cannot be walked."""
 
     exit_code = 17
+
+
+class ScoresFormatError(DgaDetectError, ValueError):
+    """A row of an external score sidecar has no score, or one that is
+    not a number in [0, 1]."""
+
+    exit_code = 18

@@ -5,44 +5,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Container, Iterable, NamedTuple, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
 from .core import FeatureVector, ParsedDomain
 from .errors import SingleClassError, TooFewExamplesError
-from .forest import FeatureSet, TrainConfig, train
-
-
-class ConfusionCounts(NamedTuple):
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def tpr(self) -> float:
-        return self.tp / (self.tp + self.fn) if self.tp + self.fn else 0.0
-
-    @property
-    def fpr(self) -> float:
-        return self.fp / (self.fp + self.tn) if self.fp + self.tn else 0.0
-
-
-def confusion(scores: Sequence[float], labels: Sequence[int], threshold: float) -> ConfusionCounts:
-    """Confusion counts with score >= threshold flagged as DGA."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray([int(l) for l in labels], dtype=np.int64)
-    if len(scores) == 0:
-        raise ValueError("confusion needs at least one example")
-    pred = scores >= threshold
-    pos = labels == 1
-    return ConfusionCounts(
-        tp=int(np.sum(pred & pos)),
-        fp=int(np.sum(pred & ~pos)),
-        tn=int(np.sum(~pred & ~pos)),
-        fn=int(np.sum(~pred & pos)),
-    )
+from .forest import FeatureSet, TrainConfig, design_matrix, train
 
 
 @dataclass(frozen=True)
@@ -214,7 +183,7 @@ def cross_validate(
         train_v = [v for i, v in enumerate(data) if i not in test_set]
         test_v = [data[i] for i in test_rows]
         model = train(train_v, feature_set, cfg)
-        scores = model.score_many(test_v)
+        scores = model.score_matrix(design_matrix(test_v, model.feature_set))
         labels = [int(v.label) for v in test_v]
         curve, auc = roc_auc(scores, labels)
         metrics.append(
@@ -285,7 +254,7 @@ def audit(
 
     pairs = list(items)
     if pairs:
-        scores = model.score_many([v for _, v in pairs])
+        scores = model.score_matrix(design_matrix([v for _, v in pairs], model.feature_set))
     else:
         scores = []
     for (domain, _), score in zip(pairs, scores):

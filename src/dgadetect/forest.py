@@ -146,9 +146,6 @@ class Tree:
     count: np.ndarray
     candidates: tuple[int, ...]
 
-    def node_count(self) -> int:
-        return len(self.feature)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Leaf probabilities for a row-major feature matrix."""
         out = np.empty(len(X), dtype=np.float64)
@@ -422,12 +419,6 @@ class ForestModel:
         for tree in self.trees:
             total += tree.predict(X)
         return total / len(self.trees)
-
-    def score_many(self, vectors: Sequence[FeatureVector]) -> np.ndarray:
-        return self.score_matrix(design_matrix(vectors, self.feature_set))
-
-    def score(self, v: FeatureVector) -> float:
-        return float(self.score_many([v])[0])
 
     # --- serialization ---------------------------------------------------
 

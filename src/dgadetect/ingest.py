@@ -14,10 +14,10 @@ from importlib import resources
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .core import DnsRecord, FeatureVector, Label, ParsedDomain, SuffixDb, parse_domain
-from .errors import InvalidDomainError, MalformedIpError, SchemaMismatchError
+from .errors import InvalidDomainError, MalformedIpError, SchemaMismatchError, ScoresFormatError
 from .forest import FeatureSet
-from .lexical import LEXICAL_FEATURES, extract_lexical
-from .sideinfo import SIDEINFO_FEATURES, CountryCodes, GeoDb, extract_sideinfo, parse_ip
+from .lexical import extract_lexical
+from .sideinfo import CountryCodes, GeoDb, extract_sideinfo, parse_ip
 
 _NAME_RE = re.compile(r"^[a-z0-9.\-]+$")
 
@@ -519,40 +519,19 @@ def load_labeled_rows(fp) -> dict[str, tuple[Label, str]]:
 
 
 def load_scores_csv(fp) -> dict[str, float]:
+    """domain -> external score.  Raises ScoresFormatError naming the row
+    when a row has no score or one outside [0, 1] (NaN and inf included)."""
     scores: dict[str, float] = {}
-    for row in csv.reader(fp):
+    for n, row in enumerate(csv.reader(fp), start=1):
         if not row or row[0] == "domain":
             continue
-        scores[row[0].strip().lower()] = float(row[1])
+        try:
+            score = float(row[1])
+        except (IndexError, ValueError):
+            score = None
+        if score is None or not 0.0 <= score <= 1.0:
+            raise ScoresFormatError(
+                f"{getattr(fp, 'name', 'scores')} row {n}: {','.join(row)!r} has no score in [0, 1]"
+            )
+        scores[row[0].strip().lower()] = score
     return scores
-
-
-def write_vectors_csv(vectors: Sequence[FeatureVector], fp) -> None:
-    """Export vectors with the published schema names as CSV headers."""
-    if not vectors:
-        return
-    headers: list[str] = list(LEXICAL_FEATURES)
-    has_side = vectors[0].sideinfo is not None
-    has_ext = vectors[0].ext_score is not None
-    has_label = vectors[0].label is not None
-    if has_side:
-        headers += list(SIDEINFO_FEATURES)
-    if has_ext:
-        headers.append("ext_score")
-    if has_label:
-        headers.append("label")
-    writer = csv.writer(fp)
-    writer.writerow(headers)
-    for v in vectors:
-        row = list(v.lexical.as_dict().values())
-        if has_side:
-            if v.sideinfo is None:
-                raise SchemaMismatchError("vector lacks the side-information block")
-            row += list(v.sideinfo.as_dict().values())
-        if has_ext:
-            if v.ext_score is None:
-                raise SchemaMismatchError("vector lacks the external score")
-            row.append(v.ext_score)
-        if has_label:
-            row.append(int(v.label))
-        writer.writerow(row)

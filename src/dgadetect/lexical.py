@@ -1,9 +1,6 @@
-"""The 26 hand-engineered lexical features plus the fixed-width character
-encoding used to interoperate with external string classifiers.
+"""The 26 hand-engineered lexical features of an SLD.TLD pair.
 
 All functions are pure; feature extraction never touches the network.
-CSV exports must use the published feature names, in schema order, as
-headers.
 """
 
 from __future__ import annotations
@@ -13,7 +10,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .core import ParsedDomain
-from .errors import DomainTooLongError
 
 #: Published feature names, in schema order.
 LEXICAL_FEATURES: tuple[str, ...] = (
@@ -54,12 +50,6 @@ HEX_CHARS = frozenset("0123456789abcdef")
 MALICIOUS_TLDS = frozenset(
     {"study", "party", "click", "top", "gdn", "gq", "asia", "cricket", "biz", "cf"}
 )
-
-#: Fixed-width of the character encoding and its code alphabet:
-#: 0 is padding; 1..38 cover '.', '-', digits 0-9 and letters a-z.
-ENCODED_LENGTH = 77
-_ENCODING_ALPHABET = ".-0123456789abcdefghijklmnopqrstuvwxyz"
-CHAR_CODES = {ch: i + 1 for i, ch in enumerate(_ENCODING_ALPHABET)}
 
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
@@ -125,19 +115,6 @@ class LexicalFeatures:
             name: getattr(self, self._FIELD_FOR_NAME.get(name, name))
             for name in LEXICAL_FEATURES
         }
-
-
-@dataclass(frozen=True)
-class EncodedDomain:
-    """Fixed-length categorical encoding of a domain string."""
-
-    codes: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.codes) != ENCODED_LENGTH:
-            raise ValueError(f"encoding must have exactly {ENCODED_LENGTH} codes")
-        if any(not 0 <= c <= 38 for c in self.codes):
-            raise ValueError("codes must lie in [0, 38]")
 
 
 def tld_hash_value(tld: str) -> int:
@@ -252,15 +229,3 @@ def extract_lexical(d: ParsedDomain) -> LexicalFeatures:
         gram2_cmed=ngram_circle_median(sld, 2),
         gram3_cmed=ngram_circle_median(sld, 3),
     )
-
-
-def encode_domain(d: ParsedDomain) -> EncodedDomain:
-    """Encode SLD.TLD as 77 categorical codes, zero-padded on the left.
-
-    Raises DomainTooLongError when the string exceeds 77 characters.
-    """
-    domain = d.fqdn
-    if len(domain) > ENCODED_LENGTH:
-        raise DomainTooLongError(f"{domain!r} exceeds {ENCODED_LENGTH} characters")
-    codes = [0] * (ENCODED_LENGTH - len(domain)) + [CHAR_CODES[ch] for ch in domain]
-    return EncodedDomain(codes=tuple(codes))

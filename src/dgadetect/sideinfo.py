@@ -36,6 +36,7 @@ UNKNOWN = "unknown"
 MULTI_VALUED = "multi-valued"
 
 _RDATA_FIXED_OVERHEAD = 6  # per-answer ttl+type+class proxy, in bytes
+_SUBNET_PREFIX = {4: 24, 6: 64}  # prefix length of the shared-subnet test, by IP version
 
 
 @dataclass(frozen=True)
@@ -170,20 +171,13 @@ def observed_countries(records: Iterable[DnsRecord], geo: GeoDb) -> list[str]:
     return sorted(names)
 
 
-def _subnet_key(addr, v4_prefix: int, v6_prefix: int) -> tuple[int, int]:
-    plen = v4_prefix if addr.version == 4 else v6_prefix
+def _subnet_key(addr) -> tuple[int, int]:
+    plen = _SUBNET_PREFIX[addr.version]
     bits = addr.max_prefixlen
     return addr.version, (int(addr) >> (bits - plen)) << (bits - plen)
 
 
-def extract_sideinfo(
-    record: DnsRecord,
-    geo: GeoDb,
-    countries: CountryCodes,
-    *,
-    v4_subnet_prefix: int = 24,
-    v6_subnet_prefix: int = 64,
-) -> SideInfoFeatures:
+def extract_sideinfo(record: DnsRecord, geo: GeoDb, countries: CountryCodes) -> SideInfoFeatures:
     """Extract the 9 side-information features from one record.
 
     country resolution: the shared country's code when every address maps
@@ -220,7 +214,7 @@ def extract_sideinfo(
     else:
         country_value = next(iter(known_countries))
 
-    subnets = {_subnet_key(a, v4_subnet_prefix, v6_subnet_prefix) for a in distinct.values()}
+    subnets = {_subnet_key(a) for a in distinct.values()}
 
     return SideInfoFeatures(
         rrlength=sum((4 if a.version == 4 else 16) + _RDATA_FIXED_OVERHEAD for a in addrs),

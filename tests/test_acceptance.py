@@ -132,7 +132,7 @@ def test_c3_forest_oracle_equivalence():
         model = train(vectors, fs, cfg)
         X = design_matrix(vectors, fs)
         reference = oracle_grow_tree(X.tolist(), labels, list(range(d)))
-        got = model.score_many(vectors)
+        got = model.score_matrix(X)
         want = np.array([oracle_tree_predict(reference, row) for row in X.tolist()])
         if not np.array_equal(got, want):
             failures += 1

@@ -9,6 +9,7 @@ from dgadetect.adversarial import (
 )
 from dgadetect.core import FeatureVector, Label, ParsedDomain
 from dgadetect.errors import PoolTooSmallError, SchemaMismatchError, SeedTooShortError
+from dgadetect.forest import FeatureSet
 from dgadetect.lexical import extract_lexical
 
 
@@ -82,8 +83,6 @@ def test_attack_config_validation():
         AttackConfig(n_domains=0)
     with pytest.raises(ValueError):
         AttackConfig(n_trials=0)
-    with pytest.raises(ValueError):
-        AttackConfig(generator="white-box-gradient")
 
 
 def _dga_pool(vectors, n=None):
@@ -140,16 +139,18 @@ def test_pair_requires_sideinfo():
 
 class _FlagEverything:
     threshold = 0.5
+    feature_set = FeatureSet.parse("lexical")
 
-    def score_many(self, vectors):
-        return np.ones(len(vectors))
+    def score_matrix(self, X):
+        return np.ones(len(X))
 
 
 class _FlagNothing:
     threshold = 0.5
+    feature_set = FeatureSet.parse("lexical")
 
-    def score_many(self, vectors):
-        return np.zeros(len(vectors))
+    def score_matrix(self, X):
+        return np.zeros(len(X))
 
 
 def test_robustness_flag_everything(small_dataset):

@@ -104,17 +104,24 @@ def test_classify_stream(workspace, tmp_path):
         assert line["verdict"] == ("dga" if line["score"] >= model.threshold else "benign")
 
 
-def test_classify_hybrid_needs_scores(workspace, tmp_path):
+@pytest.fixture(scope="module")
+def hybrid(workspace):
+    """(score sidecar, dns+lexical+ext-score model) trained on the workspace."""
     labels = (workspace / "data.labels.csv").read_text().splitlines()[1:]
-    scores_path = tmp_path / "scores.csv"
+    scores_path = workspace / "scores.csv"
     scores_path.write_text(
         "domain,score\n" + "\n".join(f"{r.split(',')[0]},{0.9 if r.split(',')[1] == '1' else 0.1}" for r in labels) + "\n"
     )
-    hybrid_path = tmp_path / "hybrid.json"
+    hybrid_path = workspace / "hybrid.json"
     assert _run([
         "train", "--data", workspace / "data.jsonl", "--features", "dns+lexical+ext-score",
         "--scores", scores_path, "--seed", 3, "--out", hybrid_path,
     ]) == 0
+    return scores_path, hybrid_path
+
+
+def test_classify_hybrid_needs_scores(workspace, hybrid, tmp_path):
+    scores_path, hybrid_path = hybrid
     # classify without the sidecar must fail with the schema exit code
     code = _run([
         "classify", "--model", hybrid_path, "--data", workspace / "data.jsonl",
@@ -125,6 +132,51 @@ def test_classify_hybrid_needs_scores(workspace, tmp_path):
         "classify", "--model", hybrid_path, "--data", workspace / "data.jsonl",
         "--scores", scores_path, "--out", tmp_path / "y.jsonl",
     ]) == 0
+
+
+BAD_SCORES = ("abc", "1.5", "-0.1", "nan", "inf", "")
+
+
+def _sidecar_with(scores_path, tmp_path, bad: str):
+    """A copy of the sidecar whose third data row (CSV row 4) holds ``bad``."""
+    rows = scores_path.read_text().splitlines()
+    rows[3] = rows[3].split(",")[0] + ("," + bad if bad else "")
+    path = tmp_path / "bad-scores.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("bad", BAD_SCORES)
+def test_train_refuses_bad_score_sidecar(workspace, hybrid, tmp_path, capsys, bad):
+    scores = _sidecar_with(hybrid[0], tmp_path, bad)
+    assert _run([
+        "train", "--data", workspace / "data.jsonl", "--features", "lexical+ext-score",
+        "--scores", scores, "--out", tmp_path / "m.json",
+    ]) == 18
+    assert "row 4" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("bad", BAD_SCORES)
+def test_classify_refuses_bad_score_sidecar(workspace, hybrid, tmp_path, capsys, bad):
+    scores_path, hybrid_path = hybrid
+    scores = _sidecar_with(scores_path, tmp_path, bad)
+    assert _run([
+        "classify", "--model", hybrid_path, "--data", workspace / "data.jsonl",
+        "--scores", scores, "--out", tmp_path / "v.jsonl",
+    ]) == 18
+    assert "row 4" in capsys.readouterr().err
+
+
+def test_attack_refuses_ext_score_model_up_front(hybrid, tmp_path, capsys):
+    _, hybrid_path = hybrid
+    code = _run([
+        "attack", "--model", hybrid_path, "--data", tmp_path / "missing.jsonl",
+        "--out", tmp_path / "attack.json",
+    ])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "attack" in err and "ext-score" in err
 
 
 def test_evaluate_reports(workspace, tmp_path):
@@ -258,8 +310,8 @@ def test_exit_codes_distinct():
         errors.SchemaMismatchError, errors.SingleClassError, errors.EmptyDataError,
         errors.NoNegativesError, errors.TooFewExamplesError, errors.PoolTooSmallError,
         errors.SeedTooShortError, errors.InvalidDomainError, errors.NoValidSuffixError,
-        errors.EmptySldError, errors.DomainTooLongError, errors.MalformedIpError,
-        errors.ModelFormatError, errors.DgaDetectError,
+        errors.EmptySldError, errors.MalformedIpError, errors.ModelFormatError,
+        errors.ScoresFormatError, errors.DgaDetectError,
     ]
     codes = [c.exit_code for c in classes]
     assert len(set(codes)) == len(codes)

@@ -8,7 +8,6 @@ from dgadetect.errors import SingleClassError, TooFewExamplesError
 from dgadetect.evaluation import (
     RocCurve,
     audit,
-    confusion,
     cross_validate,
     partial_auc,
     roc_auc,
@@ -17,32 +16,6 @@ from dgadetect.evaluation import (
 )
 from dgadetect.forest import FeatureSet, TrainConfig, train
 from oracles import oracle_auc
-
-
-# --- confusion -------------------------------------------------------------
-
-
-def test_confusion_all_dga_caught():
-    c = confusion([1.0, 1.0, 0.0], [1, 1, 0], 0.5)
-    assert c.tp == 2 and c.fn == 0
-    assert c.tpr == 1.0
-
-
-def test_confusion_hand_counted():
-    c = confusion([0.9, 0.4, 0.6, 0.1], [1, 1, 0, 0], 0.5)
-    assert (c.tp, c.fn, c.fp, c.tn) == (1, 1, 1, 1)
-    assert c.tpr == 0.5 and c.fpr == 0.5
-
-
-def test_confusion_threshold_above_all():
-    c = confusion([0.9, 0.8], [1, 0], 1.0 + 1e-9)
-    assert c.tp == 0 and c.fp == 0
-    assert c.tpr == 0.0 and c.fpr == 0.0
-
-
-def test_confusion_threshold_inclusive():
-    c = confusion([0.5], [1], 0.5)
-    assert c.tp == 1  # score >= threshold flags
 
 
 # --- roc / auc ---------------------------------------------------------------
@@ -243,12 +216,13 @@ def test_cross_validate_isolation(small_dataset):
 
 
 class _StubModel:
-    """Deterministic stand-in scoring by SLD prefix."""
+    """Deterministic stand-in whose score is each item's external score."""
 
     threshold = 0.5
+    feature_set = FeatureSet.parse("ext-score")
 
-    def score_many(self, vectors):
-        return np.array([v.ext_score for v in vectors])
+    def score_matrix(self, X):
+        return X[:, 0]
 
 
 def _item(sld, score):

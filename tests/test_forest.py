@@ -175,7 +175,7 @@ def test_train_trivially_separable_perfect(small_dataset):
         for i in range(50)
     ]
     model = train(trivial, FeatureSet.parse("ext-score"), TrainConfig(n_trees=5, seed=1))
-    scores = model.score_many(trivial)
+    scores = model.score_matrix(design_matrix(trivial, model.feature_set))
     labels = np.array([int(v.label) for v in trivial])
     assert ((scores >= 0.5) == labels.astype(bool)).mean() == 1.0
 
@@ -256,9 +256,10 @@ def test_score_schema_mismatch(small_dataset):
     model = train(vectors, FeatureSet.parse("dns+lexical"), TrainConfig(n_trees=3, seed=1))
     naked = FeatureVector(lexical=vectors[0].lexical)  # no sideinfo block
     with pytest.raises(SchemaMismatchError):
-        model.score(naked)
+        model.score_matrix(design_matrix([naked], model.feature_set))
     hybrid = train(vectors, FeatureSet.parse("lexical"), TrainConfig(n_trees=3, seed=1))
-    assert 0.0 <= hybrid.score(naked) <= 1.0  # lexical-only model is fine with it
+    # lexical-only model is fine with it
+    assert 0.0 <= hybrid.score_matrix(design_matrix([naked], hybrid.feature_set))[0] <= 1.0
 
 
 def test_ext_score_schema(small_dataset):
@@ -270,7 +271,7 @@ def test_ext_score_schema(small_dataset):
     model = train(with_ext, FeatureSet.parse("dns+lexical+ext-score"), TrainConfig(n_trees=3, seed=9))
     assert model.schema[-1] == "ext_score"
     with pytest.raises(SchemaMismatchError):
-        model.score(vectors[0])  # lacks ext_score
+        model.score_matrix(design_matrix(vectors[:1], model.feature_set))  # lacks ext_score
 
 
 def test_feature_subset_sizes(small_dataset):
@@ -388,7 +389,8 @@ def test_model_roundtrip_bytes_and_scores(small_dataset, tmp_path):
     clone = ForestModel.from_json_bytes(raw)
     assert clone.to_json_bytes() == raw
     probe = vectors[:100]
-    assert np.array_equal(model.score_many(probe), clone.score_many(probe))
+    assert np.array_equal(model.score_matrix(design_matrix(probe, model.feature_set)),
+                          clone.score_matrix(design_matrix(probe, clone.feature_set)))
 
     path = tmp_path / "model.json"
     model.save(path)
@@ -511,4 +513,4 @@ def test_all_six_configurations_trainable(small_dataset):
     for spec in ("dns", "lexical", "dns+lexical", "ext-score", "dns+ext-score", "dns+lexical+ext-score"):
         model = train(with_ext, FeatureSet.parse(spec), cfg)
         assert model.feature_set.id == spec
-        assert 0 <= model.score(with_ext[0]) <= 1
+        assert 0 <= model.score_matrix(design_matrix(with_ext[:1], model.feature_set))[0] <= 1

@@ -22,10 +22,8 @@ from dgadetect.ingest import (
     vectorize,
     write_labels_csv,
     write_pdns,
-    write_vectors_csv,
 )
-from dgadetect.lexical import LEXICAL_FEATURES
-from dgadetect.sideinfo import SIDEINFO_FEATURES, build_country_codes, observed_countries
+from dgadetect.sideinfo import build_country_codes, observed_countries
 
 
 # --- benign filter -------------------------------------------------------
@@ -326,13 +324,3 @@ def test_scores_csv(tmp_path):
     with open(p) as fp:
         scores = load_scores_csv(fp)
     assert scores == {"example.com": 0.25, "other.net": 0.75}
-
-
-def test_vectors_csv_headers(geo, tmp_path):
-    examples = synth_dataset(4, 4, seed=30)
-    codes = build_country_codes(observed_countries((e.record for e in examples), geo))
-    vectors = vectorize(examples, geo, codes)
-    buf = io.StringIO()
-    write_vectors_csv(vectors, buf)
-    header = buf.getvalue().splitlines()[0].split(",")
-    assert header == list(LEXICAL_FEATURES) + list(SIDEINFO_FEATURES) + ["label"]

@@ -4,12 +4,8 @@ import string
 import pytest
 
 from dgadetect.core import ParsedDomain
-from dgadetect.errors import DomainTooLongError
 from dgadetect.lexical import (
     LEXICAL_FEATURES,
-    CHAR_CODES,
-    ENCODED_LENGTH,
-    encode_domain,
     extract_lexical,
     ngram_circle_median,
     ngram_median,
@@ -161,36 +157,3 @@ def test_schema_names_and_order():
     lf = extract_lexical(ParsedDomain("example", "com"))
     assert list(lf.as_dict()) == list(LEXICAL_FEATURES)
     assert len(LEXICAL_FEATURES) == 26
-
-
-def test_encode_basic_padding():
-    enc = encode_domain(ParsedDomain("a", "com"))
-    assert len(enc.codes) == ENCODED_LENGTH
-    assert enc.codes[:72] == (0,) * 72
-    assert enc.codes[72:] == tuple(CHAR_CODES[c] for c in "a.com")
-
-
-def test_encode_code_range():
-    rng = random.Random(17)
-    for _ in range(100):
-        sld = _random_sld(rng)
-        tld = rng.choice(TLDS)
-        enc = encode_domain(ParsedDomain(sld, tld))
-        nonzero = [c for c in enc.codes if c]
-        assert all(1 <= c <= 38 for c in nonzero)
-        assert len(nonzero) == len(sld) + 1 + len(tld)
-
-
-def test_encode_alphabet_covers_38():
-    assert len(CHAR_CODES) == 38
-    assert CHAR_CODES["."] == 1
-    assert CHAR_CODES["-"] == 2
-    assert CHAR_CODES["0"] == 3
-    assert CHAR_CODES["a"] == 13
-    assert CHAR_CODES["z"] == 38
-
-
-def test_encode_too_long():
-    with pytest.raises(DomainTooLongError):
-        encode_domain(ParsedDomain("a" * 74, "com"))  # 74 + 1 + 3 = 78
-    encode_domain(ParsedDomain("a" * 73, "com"))  # 77 exactly is fine
