@@ -160,6 +160,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _write_verdicts(dst, model: forest.ForestModel, names: list[str], vectors: list) -> None:
+    """Score a batch of vectors and write their verdict lines, then flush
+    so that inline callers see them at once."""
+    if not vectors:
+        return
+    scores = model.score_matrix(forest.design_matrix(vectors, model.feature_set)).tolist()
+    dst.write("".join(
+        json.dumps({
+            "domain": name,
+            "score": score,
+            "verdict": "dga" if score >= model.threshold else "benign",
+        }, separators=(",", ":")) + "\n"
+        for name, score in zip(names, scores)
+    ))
+    dst.flush()
+
+
 def cmd_classify(args) -> int:
     started = time.time()
     model = forest.ForestModel.load(args.model)
@@ -170,15 +187,18 @@ def cmd_classify(args) -> int:
     dst = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     stats = ingest.ParseStats()
     try:
-        for record, parsed in ingest.read_domains(src, suffixes, stats):
-            X = forest.design_matrix([build(record, parsed)], model.feature_set)
-            score = float(model.score_matrix(X)[0])
-            dst.write(json.dumps({
-                "domain": parsed.fqdn,
-                "score": score,
-                "verdict": "dga" if score >= model.threshold else "benign",
-            }, separators=(",", ":")) + "\n")
-            dst.flush()  # inline use: each verdict leaves as soon as it exists
+        # Score what each read returned as one batch: a file gives hundreds
+        # of records a read, a live pipe each record as it arrives.
+        for lines in ingest.read_line_chunks(src):
+            names, vectors = [], []
+            try:
+                for record, parsed in ingest.read_domains(lines, suffixes, stats):
+                    vectors.append(build(record, parsed))
+                    names.append(parsed.fqdn)
+            finally:
+                # a record that cannot be vectorized still leaves the
+                # verdicts of the records before it
+                _write_verdicts(dst, model, names, vectors)
     finally:
         if args.data:
             src.close()

@@ -90,3 +90,10 @@ class ScoresFormatError(DgaDetectError, ValueError):
     not a number in [0, 1]."""
 
     exit_code = 18
+
+
+class LabelsFormatError(DgaDetectError, ValueError):
+    """A row of a labels CSV has no label column, or a label that is not
+    0 or 1."""
+
+    exit_code = 19

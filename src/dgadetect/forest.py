@@ -9,6 +9,10 @@ Determinism contract: every tree derives its randomness from
 (config seed, tree index) alone, so identical data + config + seed yield
 byte-identical serialized models regardless of scheduling or thread
 count.
+
+Scoring contract: a row's score is the mean of its trees' leaf
+probabilities added in tree order, so it is the same whether the row is
+scored alone or in any batch.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from __future__ import annotations
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -129,13 +134,32 @@ class TrainConfig:
         return k
 
 
+# Per-node fields of a tree, as stored in a model file, with their dtypes.
+_NODE_FIELDS = (
+    ("feature", np.int32),
+    ("threshold", np.float64),
+    ("left", np.int32),
+    ("right", np.int32),
+    ("prob", np.float64),
+    ("count", np.int64),
+)
+
+# Rows walked together by ForestModel.score_matrix.  Each block holds
+# rows x trees walk entries at once, so the block bounds transient memory
+# (about 1.7 MiB for 100 trees), and blocks of this size are also the
+# fastest per row.
+_BLOCK_ROWS = 256
+
+
 @dataclass
 class Tree:
     """One grown decision tree in flat-array form.
 
     Node 0 is the root.  Internal nodes carry a feature index (into the
     model schema) and a threshold; rows with value <= threshold descend
-    left.  Leaves have feature -1 and carry the training DGA fraction.
+    left.  Leaves have feature -1, children -1, and carry the training
+    DGA fraction.  In a model the arrays are views into the model's
+    flat per-field arrays (see :func:`_flatten_trees`).
     """
 
     feature: np.ndarray
@@ -147,23 +171,12 @@ class Tree:
     candidates: tuple[int, ...]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf probabilities for a row-major feature matrix."""
-        out = np.empty(len(X), dtype=np.float64)
-        stack: list[tuple[int, np.ndarray]] = [(0, np.arange(len(X)))]
-        while stack:
-            node, idx = stack.pop()
-            f = self.feature[node]
-            if f < 0:
-                out[idx] = self.prob[node]
-                continue
-            go_left = X[idx, f] <= self.threshold[node]
-            left_idx = idx[go_left]
-            right_idx = idx[~go_left]
-            if len(left_idx):
-                stack.append((int(self.left[node]), left_idx))
-            if len(right_idx):
-                stack.append((int(self.right[node]), right_idx))
-        return out
+        """Leaf probabilities for a row-major feature matrix: the forest's
+        kernel run with this tree's root alone."""
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        flat = {name: getattr(self, name) for name, _ in _NODE_FIELDS}
+        _, nodes = _compile_trees(flat, np.array([len(self.feature)]), [self.candidates], X.shape[1])
+        return nodes.leaf_probs(X)[0]
 
     def to_obj(self) -> dict:
         return {
@@ -176,20 +189,95 @@ class Tree:
             "candidates": list(self.candidates),
         }
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "Tree":
-        return cls(
-            feature=np.asarray(obj["feature"], dtype=np.int32),
-            threshold=np.asarray(obj["threshold"], dtype=np.float64),
-            left=np.asarray(obj["left"], dtype=np.int32),
-            right=np.asarray(obj["right"], dtype=np.int32),
-            prob=np.asarray(obj["prob"], dtype=np.float64),
-            count=np.asarray(obj["count"], dtype=np.int64),
-            candidates=tuple(obj["candidates"]),
-        )
+
+@dataclass(frozen=True)
+class Nodes:
+    """Trees packed for scoring: one array per node field over every
+    tree's nodes, tree after tree, with global node ids.
+
+    ``child[2 * i]`` is node i's right child and ``child[2 * i + 1]`` its
+    left child, so ``child[2 * i + (x <= threshold[i])]`` takes one step
+    (a NaN goes right, as ``<=`` says).  A leaf's children are the leaf
+    itself.  ``roots`` holds each tree's root id.
+    """
+
+    feature: np.ndarray  # int32, schema column; -1 at leaves
+    threshold: np.ndarray  # float64
+    child: np.ndarray  # intp, 2 entries per node
+    leaf: np.ndarray  # bool
+    prob: np.ndarray  # float64
+    roots: np.ndarray  # intp
+
+    def leaf_probs(self, X: np.ndarray) -> np.ndarray:
+        """Leaf probability of every (tree, row) pair of a C-contiguous
+        float64 matrix, as a C-contiguous (n_trees, n_rows) array.
+
+        All pairs descend one level per step, and only the pairs not yet
+        at a leaf take the next step.  Pair ``t * n_rows + r`` is tree t
+        on row r, so the result needs no transpose.
+        """
+        n, d = X.shape
+        x = X.ravel()
+        node = np.repeat(self.roots, n)
+        pair = np.flatnonzero(~self.leaf[node])  # pairs still walking
+        at = node[pair]
+        offset = pair % n * d  # where each pair's row starts in x
+        while pair.size:
+            nxt = self.child[2 * at + (x[offset + self.feature[at]] <= self.threshold[at])]
+            node[pair] = nxt
+            walking = ~self.leaf[nxt]
+            pair, at, offset = pair[walking], nxt[walking], offset[walking]
+        return self.prob[node].reshape(len(self.roots), n)
 
 
-def _check_topology(trees: Sequence[Tree], width: int) -> None:
+def _flatten_trees(trees: Sequence[dict]) -> tuple[dict[str, np.ndarray], np.ndarray, list[tuple]]:
+    """Trees given as a sequence per node field (a model file's lists or
+    a Tree's arrays) as one flat array per field over all trees, tree
+    after tree, with each tree's size and candidate features.  Raises
+    ValueError when a tree's sequences are empty or of unequal length."""
+    sizes = np.array([len(t["feature"]) for t in trees], dtype=np.intp)
+    for t, n in zip(trees, sizes):
+        if n == 0 or any(len(t[name]) != n for name, _ in _NODE_FIELDS):
+            raise ValueError("a tree's arrays are empty or of unequal length")
+    total = int(sizes.sum())
+    flat = {
+        name: np.fromiter(chain.from_iterable(t[name] for t in trees), dtype, count=total)
+        for name, dtype in _NODE_FIELDS
+    }
+    return flat, sizes, [tuple(t["candidates"]) for t in trees]
+
+
+def _compile_trees(flat: dict[str, np.ndarray], sizes: np.ndarray, candidates: list[tuple],
+                   width: int) -> tuple[list[Tree], Nodes]:
+    """Validate flattened trees (see :func:`_flatten_trees`) and pack them
+    for scoring, for both loading and training.
+
+    The returned Trees' arrays are views into the flat arrays, and
+    :class:`Nodes` adds the global child ids.  Raises ValueError unless
+    every walk from every root ends at a leaf (see :func:`_check_topology`).
+    """
+    feature, left, right = flat["feature"], flat["left"], flat["right"]
+    _check_topology(feature, left, right, flat["prob"], sizes, width)
+    starts = np.cumsum(sizes) - sizes
+    leaf = feature < 0
+    # (right, left) child pairs, moved from tree-local to global ids in
+    # place so that packing adds little to a load's peak memory
+    child = np.empty((len(feature), 2), dtype=np.intp)
+    child[:, 0] = right
+    child[:, 1] = left
+    child += np.repeat(starts, sizes)[:, None]
+    leaves = np.flatnonzero(leaf)
+    child[leaves, 0] = child[leaves, 1] = leaves
+    nodes = Nodes(feature, flat["threshold"], child.ravel(), leaf, flat["prob"],
+                  starts.astype(np.intp))
+    trees = [
+        Tree(**{name: a[start:start + size] for name, a in flat.items()}, candidates=c)
+        for start, size, c in zip(starts.tolist(), sizes.tolist(), candidates)
+    ]
+    return trees, nodes
+
+
+def _check_topology(feature, left, right, prob, sizes: np.ndarray, width: int) -> None:
     """Raise ValueError unless every walk from every root ends at a leaf:
     internal nodes read a schema feature and have both children, each
     after its parent; leaves have none; probabilities lie in [0, 1].
@@ -197,14 +285,7 @@ def _check_topology(trees: Sequence[Tree], width: int) -> None:
     The checks run once over all trees' nodes together, which keeps them
     a small share of model loading.
     """
-    sizes = np.array([len(t.feature) for t in trees], dtype=np.int32)
-    for t, n in zip(trees, sizes):
-        if n == 0 or any(len(a) != n for a in (t.threshold, t.left, t.right, t.prob)):
-            raise ValueError("a tree's arrays are empty or of unequal length")
-    feature, left, right, prob = (
-        np.concatenate([getattr(t, name) for t in trees])
-        for name in ("feature", "left", "right", "prob")
-    )
+    sizes = sizes.astype(np.int32)
     # each node's index within its own tree, and its tree's size
     node = np.arange(len(feature), dtype=np.int32) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     n = np.repeat(sizes, sizes)
@@ -403,7 +484,11 @@ def calibrate_threshold(scores: Sequence[float], labels: Sequence[int], target_f
 
 @dataclass
 class ForestModel:
-    """Trained ensemble with its schema, code table and decision threshold."""
+    """Trained ensemble with its schema, code table and decision threshold.
+
+    ``trees`` are views into ``nodes``, the packed arrays that
+    :meth:`score_matrix` walks; both come from :func:`_compile_trees`.
+    """
 
     feature_set: FeatureSet
     schema: tuple[str, ...]
@@ -411,14 +496,26 @@ class ForestModel:
     threshold: float
     country_codes: CountryCodes | None
     config: TrainConfig
+    nodes: Nodes = field(repr=False, compare=False)
 
     def score_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Mean leaf DGA probability per row of a schema-ordered matrix."""
-        X = np.asarray(X, dtype=np.float64)
-        total = np.zeros(len(X), dtype=np.float64)
-        for tree in self.trees:
-            total += tree.predict(X)
-        return total / len(self.trees)
+        """Mean leaf DGA probability per row of a schema-ordered matrix.
+
+        Rows are walked through every tree at once, a block of rows at a
+        time.  Each row's leaf probabilities are summed in tree order, as
+        a running total over the trees would add them, so a row's score
+        does not depend on the rows scored with it.  ``np.add.accumulate``
+        keeps that order for any block; ``np.add.reduce`` would sum a
+        one-row block pairwise and move its last bits.
+        """
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] != len(self.schema):
+            raise SchemaMismatchError(f"rows must have the model's {len(self.schema)} columns")
+        out = np.empty(len(X), dtype=np.float64)
+        for start in range(0, len(X), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            out[block] = np.add.accumulate(self.nodes.leaf_probs(X[block]))[-1] / len(self.trees)
+        return out
 
     # --- serialization ---------------------------------------------------
 
@@ -441,36 +538,35 @@ class ForestModel:
         """Parse and validate a model file.  Every defect, from bad JSON to
         a tree that cannot be walked, raises ModelFormatError."""
         try:
-            # the parsed JSON is freed before the checks allocate
-            model = cls._from_obj(json.loads(raw))
-            if not model.trees:
-                raise ValueError("model file carries no trees")
-            if model.schema != model.feature_set.feature_names():
+            obj = json.loads(raw)
+            if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
+                raise ValueError("not a forest model file")
+            if obj.get("version") != MODEL_VERSION:
+                raise ValueError(f"unsupported model version {obj.get('version')}")
+            codes = obj.get("country_codes")
+            if codes is not None and not {UNKNOWN, MULTI_VALUED} <= set(codes):
+                raise ValueError("the country-code table lacks its reserved names")
+            feature_set = FeatureSet.parse(obj["feature_set"])
+            schema = tuple(obj["schema"])
+            if schema != feature_set.feature_names():
                 raise ValueError("schema does not match the declared feature set")
-            _check_topology(model.trees, len(model.schema))
+            if not obj["trees"]:
+                raise ValueError("model file carries no trees")
+            # popped, the parsed trees are freed before the checks allocate
+            trees, nodes = _compile_trees(*_flatten_trees(obj.pop("trees")), len(schema))
+            return cls(
+                feature_set=feature_set,
+                schema=schema,
+                trees=trees,
+                threshold=float(obj["threshold"]),
+                country_codes=CountryCodes.from_dict(codes) if codes is not None else None,
+                config=TrainConfig(**obj["config"]),
+                nodes=nodes,
+            )
         except KeyError as exc:
             raise ModelFormatError(f"model file lacks the field {exc}") from None
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ModelFormatError(f"invalid model file: {exc}") from exc
-        return model
-
-    @classmethod
-    def _from_obj(cls, obj) -> "ForestModel":
-        if not isinstance(obj, dict) or obj.get("format") != MODEL_FORMAT:
-            raise ValueError("not a forest model file")
-        if obj.get("version") != MODEL_VERSION:
-            raise ValueError(f"unsupported model version {obj.get('version')}")
-        codes = obj.get("country_codes")
-        if codes is not None and not {UNKNOWN, MULTI_VALUED} <= set(codes):
-            raise ValueError("the country-code table lacks its reserved names")
-        return cls(
-            feature_set=FeatureSet.parse(obj["feature_set"]),
-            schema=tuple(obj["schema"]),
-            trees=[Tree.from_obj(t) for t in obj["trees"]],
-            threshold=float(obj["threshold"]),
-            country_codes=CountryCodes.from_dict(codes) if codes is not None else None,
-            config=TrainConfig(**obj["config"]),
-        )
 
     def save(self, path) -> None:
         with open(path, "wb") as fp:
@@ -563,8 +659,6 @@ def train(
     else:
         built = [_build_one_tree(X, y, cfg, k, t) for t in range(cfg.n_trees)]
 
-    trees = [tree for tree, _ in built]
-
     n = len(y)
     oob_sum = np.zeros(n, dtype=np.float64)
     oob_cnt = np.zeros(n, dtype=np.int64)
@@ -574,6 +668,11 @@ def train(
             oob_sum[oob] += tree.predict(X[oob])
             oob_cnt[oob] += 1
 
+    flat = _flatten_trees([vars(tree) for tree, _ in built])
+    del built  # its trees live on as views into the flat arrays
+    trees, nodes = _compile_trees(*flat, X.shape[1])
+    model = ForestModel(feature_set, feature_set.feature_names(), trees, 0.0, country_codes, cfg,
+                        nodes)
     covered = oob_cnt > 0
     if covered.any() and len(np.unique(y[covered])) == 2:
         calib_scores = oob_sum[covered] / oob_cnt[covered]
@@ -581,16 +680,7 @@ def train(
     else:
         # no usable out-of-bag rows (e.g. bootstrap off): fall back to
         # training scores
-        model_probe = ForestModel(feature_set, feature_set.feature_names(), trees, 0.0, None, cfg)
-        calib_scores = model_probe.score_matrix(X)
+        calib_scores = model.score_matrix(X)
         calib_labels = y
-    threshold = calibrate_threshold(calib_scores, calib_labels, cfg.target_fpr)
-
-    return ForestModel(
-        feature_set=feature_set,
-        schema=feature_set.feature_names(),
-        trees=trees,
-        threshold=threshold,
-        country_codes=country_codes,
-        config=cfg,
-    )
+    model.threshold = calibrate_threshold(calib_scores, calib_labels, cfg.target_fpr)
+    return model

@@ -14,7 +14,13 @@ from importlib import resources
 from typing import Callable, Container, Iterable, Iterator, Sequence
 
 from .core import DnsRecord, FeatureVector, Label, ParsedDomain, SuffixDb, parse_domain
-from .errors import InvalidDomainError, MalformedIpError, SchemaMismatchError, ScoresFormatError
+from .errors import (
+    InvalidDomainError,
+    LabelsFormatError,
+    MalformedIpError,
+    SchemaMismatchError,
+    ScoresFormatError,
+)
 from .forest import FeatureSet
 from .lexical import extract_lexical
 from .sideinfo import CountryCodes, GeoDb, extract_sideinfo, parse_ip
@@ -187,6 +193,28 @@ def _record_from_obj(obj) -> DnsRecord | None:
     except MalformedIpError:
         return None
     return DnsRecord(name=name, ttl=ttl, qtype=qtype, rtype=rtype, rclass=rclass, data=tuple(data))
+
+
+_READ_SIZE = 1 << 16  # bytes per read of read_line_chunks
+
+
+def read_line_chunks(stream) -> Iterator[list[bytes]]:
+    """The lines of a binary stream, one list per read of up to 64 KiB.
+
+    Each read is one ``read1``, which returns whatever the stream has
+    ready and waits only when it has nothing, so a file yields hundreds
+    of lines at a time and a pipe fed line by line yields each line as
+    soon as it arrives.  Lines split on ``\\n`` alone, as iterating the
+    stream would split them; a line cut by the end of a read is completed
+    by the next, and a last line without a newline is still yielded.
+    """
+    partial = b""
+    while chunk := stream.read1(_READ_SIZE):
+        *lines, partial = (partial + chunk).split(b"\n")
+        if lines:
+            yield lines
+    if partial:
+        yield [partial]
 
 
 def read_pdns(stream: Iterable[str | bytes], stats: ParseStats | None = None) -> Iterator[DnsRecord]:
@@ -508,13 +536,20 @@ def write_labels_csv(examples: Iterable[LabeledExample], fp) -> None:
 
 def load_labeled_rows(fp) -> dict[str, tuple[Label, str]]:
     """domain -> (label, provenance); provenance defaults to "unlabeled"
-    when the CSV lacks a source column."""
+    when the CSV lacks a source column.  Raises LabelsFormatError naming
+    the row when a row has no label or one that is not 0 or 1."""
     rows: dict[str, tuple[Label, str]] = {}
-    for row in csv.reader(fp):
+    for n, row in enumerate(csv.reader(fp), start=1):
         if not row or row[0] == "domain":
             continue
+        try:
+            label = Label(int(row[1]))
+        except (IndexError, ValueError):
+            raise LabelsFormatError(
+                f"{getattr(fp, 'name', 'labels')} row {n}: {','.join(row)!r} has no label 0 or 1"
+            ) from None
         source = row[2].strip() if len(row) > 2 and row[2].strip() else "unlabeled"
-        rows[row[0].strip().lower()] = (Label(int(row[1])), source)
+        rows[row[0].strip().lower()] = (label, source)
     return rows
 
 

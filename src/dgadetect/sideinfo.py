@@ -106,9 +106,12 @@ class GeoDb:
             entries.append((prefix, country, asn))
         return cls(entries)
 
-    def lookup(self, ip: str) -> tuple[str | None, int | None]:
-        """(country, asn) for an address, (None, None) when uncovered."""
-        addr = parse_ip(ip)
+    def lookup(
+        self, ip: str | ipaddress.IPv4Address | ipaddress.IPv6Address
+    ) -> tuple[str | None, int | None]:
+        """(country, asn) for an address given as text or as a parsed
+        ``ipaddress`` address, (None, None) when uncovered."""
+        addr = parse_ip(ip) if isinstance(ip, str) else ip
         bits = addr.max_prefixlen
         ip_int = int(addr)
         for plen in self._plens[addr.version]:
@@ -197,7 +200,7 @@ def extract_sideinfo(record: DnsRecord, geo: GeoDb, countries: CountryCodes) -> 
     unknown_country = False
     unknown_asn = False
     for addr in distinct.values():
-        country, asn = geo.lookup(str(addr))
+        country, asn = geo.lookup(addr)
         if country is None:
             unknown_country = True
         else:

@@ -174,6 +174,20 @@ def oracle_tree_predict(node, row) -> float:
     return node.prob
 
 
+def oracle_forest_score(trees, row) -> float:
+    """Mean leaf probability of one row over trees given as model-file
+    objects (lists per node field), each walked node by node and added in
+    tree order."""
+    total = 0.0
+    for tree in trees:
+        node = 0
+        while tree["feature"][node] >= 0:
+            go_left = row[tree["feature"][node]] <= tree["threshold"][node]
+            node = tree["left"][node] if go_left else tree["right"][node]
+        total += tree["prob"][node]
+    return total / len(trees)
+
+
 def oracle_auc(scores, labels) -> float:
     """Concordant-pair probability with ties counted one half."""
     pos = [s for s, l in zip(scores, labels) if l == 1]

@@ -9,7 +9,7 @@ import pytest
 
 import dgadetect
 from dgadetect.cli import main
-from dgadetect.errors import ModelFormatError, SchemaMismatchError
+from dgadetect.errors import LabelsFormatError, ModelFormatError, SchemaMismatchError
 from dgadetect.forest import ForestModel
 
 
@@ -291,6 +291,116 @@ def test_classify_large_stream_streams(workspace, tmp_path):
     assert sum(1 for _ in open(out)) == 10000
 
 
+def test_classify_scores_a_file_in_few_batches(workspace, tmp_path, monkeypatch):
+    lines = (workspace / "data.jsonl").read_bytes().splitlines(keepends=True)
+    data = tmp_path / "thousand.jsonl"
+    data.write_bytes(b"".join(lines[i % len(lines)] for i in range(1000)))
+    calls = []
+    score_matrix = ForestModel.score_matrix
+
+    def counted(self, X):
+        calls.append(len(X))
+        return score_matrix(self, X)
+
+    monkeypatch.setattr(ForestModel, "score_matrix", counted)
+    out = tmp_path / "verdicts.jsonl"
+    assert _run(["classify", "--model", workspace / "model.json", "--data", data, "--out", out]) == 0
+    assert len(out.read_text().splitlines()) == 1000
+    assert sum(calls) == 1000 and len(calls) <= 4
+
+
+def test_classify_last_line_without_newline(workspace, tmp_path):
+    lines = (workspace / "data.jsonl").read_bytes().splitlines()
+    data = tmp_path / "unterminated.jsonl"
+    data.write_bytes(b"\n".join(lines[:5]))
+    out = tmp_path / "verdicts.jsonl"
+    assert _run(["classify", "--model", workspace / "model.json", "--data", data, "--out", out]) == 0
+    assert [json.loads(l)["domain"] for l in out.read_text().splitlines()] == [
+        json.loads(l)["name"] for l in lines[:5]]
+    assert _stats(out) == {"lines": 5, "parsed": 5, "skipped": 0, "unparseable_names": 0}
+
+
+def test_classify_counts_odd_lines_inside_a_chunk(workspace, tmp_path):
+    lines = (workspace / "data.jsonl").read_bytes().splitlines()
+    odd = [
+        b"",  # blank
+        b"\r",  # a bare carriage return: one line, blank once stripped
+        b"{not json",
+        lines[0] + b"\r" + lines[1],  # two records joined by \r: one malformed line
+        b'{"name":"host.invalidtld","ttl":60,"type":1,"class":1,"data":["1.2.3.4"]}',
+    ]
+    data = tmp_path / "odd.jsonl"
+    data.write_bytes(b"\n".join(lines[:50] + odd + lines[50:]) + b"\n")
+    out = tmp_path / "verdicts.jsonl"
+    assert _run(["classify", "--model", workspace / "model.json", "--data", data, "--out", out]) == 0
+    assert [json.loads(l)["domain"] for l in out.read_text().splitlines()] == [
+        json.loads(l)["name"] for l in lines]
+    assert _stats(out) == {"lines": 245, "parsed": 241, "skipped": 4, "unparseable_names": 1}
+
+
+def test_classify_hybrid_missing_score_keeps_earlier_verdicts(workspace, hybrid, tmp_path):
+    scores_path, hybrid_path = hybrid
+    full = tmp_path / "full.jsonl"
+    assert _run(["classify", "--model", hybrid_path, "--data", workspace / "data.jsonl",
+                 "--scores", scores_path, "--out", full]) == 0
+    verdicts = full.read_bytes().splitlines(keepends=True)
+    missing = json.loads(verdicts[100])["domain"]
+    partial = tmp_path / "partial.csv"
+    partial.write_text("\n".join(r for r in scores_path.read_text().splitlines()
+                                 if r.split(",")[0] != missing) + "\n")
+    out = tmp_path / "partial.jsonl"
+    assert _run(["classify", "--model", hybrid_path, "--data", workspace / "data.jsonl",
+                 "--scores", partial, "--out", out]) == SchemaMismatchError.exit_code
+    assert out.read_bytes() == b"".join(verdicts[:100])
+
+
+BAD_LABELS = ("abc", "2", "")
+
+
+def _labels_with(workspace, tmp_path, bad: str):
+    """A copy of the labels CSV whose third data row (CSV row 4) holds
+    ``bad`` as its label, or has no label column when ``bad`` is empty."""
+    rows = (workspace / "data.labels.csv").read_text().splitlines()
+    domain, _, source = rows[3].split(",")
+    rows[3] = f"{domain},{bad},{source}" if bad else domain
+    path = tmp_path / "bad.labels.csv"
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
+def _refused_for_labels(capsys, code):
+    assert code == LabelsFormatError.exit_code
+    assert "row 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", BAD_LABELS)
+def test_train_refuses_bad_labels(workspace, tmp_path, capsys, bad):
+    labels = _labels_with(workspace, tmp_path, bad)
+    _refused_for_labels(capsys, _run([
+        "train", "--data", workspace / "data.jsonl", "--labels", labels,
+        "--features", "lexical", "--out", tmp_path / "m.json",
+    ]))
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("bad", BAD_LABELS)
+def test_evaluate_refuses_bad_labels(workspace, tmp_path, capsys, bad):
+    labels = _labels_with(workspace, tmp_path, bad)
+    _refused_for_labels(capsys, _run([
+        "evaluate", "--data", workspace / "data.jsonl", "--labels", labels,
+        "--features", "lexical", "--folds", 2, "--out", tmp_path / "eval",
+    ]))
+
+
+@pytest.mark.parametrize("bad", BAD_LABELS)
+def test_attack_refuses_bad_labels(workspace, tmp_path, capsys, bad):
+    labels = _labels_with(workspace, tmp_path, bad)
+    _refused_for_labels(capsys, _run([
+        "attack", "--model", workspace / "model.json", "--data", workspace / "data.jsonl",
+        "--labels", labels, "--n-domains", 20, "--trials", 1, "--out", tmp_path / "attack.json",
+    ]))
+
+
 def test_console_entrypoint_subprocess(tmp_path):
     """End-to-end in a fresh process: synth is reproducible across runs."""
     for name in ("p1", "p2"):
@@ -311,7 +421,7 @@ def test_exit_codes_distinct():
         errors.NoNegativesError, errors.TooFewExamplesError, errors.PoolTooSmallError,
         errors.SeedTooShortError, errors.InvalidDomainError, errors.NoValidSuffixError,
         errors.EmptySldError, errors.MalformedIpError, errors.ModelFormatError,
-        errors.ScoresFormatError, errors.DgaDetectError,
+        errors.ScoresFormatError, errors.LabelsFormatError, errors.DgaDetectError,
     ]
     codes = [c.exit_code for c in classes]
     assert len(set(codes)) == len(codes)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from dgadetect.sideinfo import SIDEINFO_FEATURES
 from oracles import (
     oracle_best_split,
     oracle_entropy,
+    oracle_forest_score,
     oracle_grow_tree,
     oracle_threshold_sweep,
     oracle_tree_predict,
@@ -251,6 +253,76 @@ def test_forest_score_is_tree_mean(small_dataset):
     assert np.all(model.score_matrix(X) >= 0) and np.all(model.score_matrix(X) <= 1)
 
 
+# --- compiled scoring ---------------------------------------------------------
+
+
+def _probe_rows(model, vectors, n, seed=0):
+    """``n`` rows drawn from the vectors' design matrix, a third of them
+    moved onto split thresholds of the model's trees."""
+    rng = np.random.default_rng(seed)
+    base = design_matrix(vectors, model.feature_set)
+    X = base[rng.integers(0, len(base), size=n)].copy()
+    splits = [(int(t.feature[i]), float(t.threshold[i]))
+              for t in model.trees for i in np.flatnonzero(t.feature >= 0)]
+    for r in range(0, n, 3):
+        f, threshold = splits[rng.integers(len(splits))]
+        X[r, f] = threshold
+    return X
+
+
+def _oracle_scores(model, X):
+    trees = json.loads(model.to_json_bytes())["trees"]
+    return np.array([oracle_forest_score(trees, row) for row in X.tolist()])
+
+
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 1000])
+def test_score_matrix_matches_node_walk(small_models, small_dataset, n):
+    model = small_models["dns+lexical"]
+    X = _probe_rows(model, small_dataset[1], n)
+    got = model.score_matrix(X)
+    assert got.shape == (n,)
+    assert np.array_equal(got, _oracle_scores(model, X))
+
+
+def test_score_of_a_row_does_not_depend_on_its_batch(small_models, small_dataset):
+    model = small_models["dns+lexical"]
+    X = _probe_rows(model, small_dataset[1], 1000, seed=1)
+    batch = model.score_matrix(X)
+    alone = np.array([model.score_matrix(X[i:i + 1])[0] for i in range(len(X))])
+    assert np.array_equal(alone, batch)
+
+
+def test_score_with_a_tree_that_is_one_leaf(small_models, small_dataset):
+    obj = json.loads(small_models["lexical"].to_json_bytes())
+    obj["trees"][2] = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
+                       "prob": [0.375], "count": [8], "candidates": [0]}
+    model = ForestModel.from_json_bytes(json.dumps(obj).encode())
+    X = _probe_rows(model, small_dataset[1], 300)
+    assert np.array_equal(model.score_matrix(X), _oracle_scores(model, X))
+    assert model.trees[2].predict(X).tolist() == [0.375] * 300
+
+
+def test_depth_one_forest_sends_threshold_values_left(small_dataset):
+    _, vectors, _ = small_dataset
+    model = train(vectors, FeatureSet.parse("lexical"), TrainConfig(n_trees=6, seed=5, max_depth=1))
+    assert all(len(t.feature) in (1, 3) for t in model.trees)
+    X = _probe_rows(model, vectors, 400, seed=2)
+    assert np.array_equal(model.score_matrix(X), _oracle_scores(model, X))
+    for tree in model.trees:
+        if tree.feature[0] < 0:
+            continue
+        at = X[:1].copy()
+        at[0, tree.feature[0]] = tree.threshold[0]
+        assert tree.predict(at)[0] == tree.prob[tree.left[0]]
+
+
+def test_score_matrix_refuses_rows_of_another_width(small_models, small_dataset):
+    model = small_models["lexical"]
+    X = design_matrix(small_dataset[1][:3], model.feature_set)
+    with pytest.raises(SchemaMismatchError):
+        model.score_matrix(X[:, :-1])
+
+
 def test_score_schema_mismatch(small_dataset):
     _, vectors, _ = small_dataset
     model = train(vectors, FeatureSet.parse("dns+lexical"), TrainConfig(n_trees=3, seed=1))
@@ -428,7 +500,7 @@ def _first_split(tree: dict) -> int:
 
 @pytest.mark.parametrize("corrupt", [
     "cyclic-child", "child-out-of-range", "leaf-with-child", "internal-without-child",
-    "prob-above-one", "ragged-arrays",
+    "prob-above-one", "ragged-arrays", "feature-overflows-int32",
 ])
 def test_model_tree_topology_validated(small_dataset, corrupt):
     _, vectors, _ = small_dataset
@@ -449,6 +521,8 @@ def test_model_tree_topology_validated(small_dataset, corrupt):
         tree["right"][node] = -1
     elif corrupt == "prob-above-one":
         tree["prob"][leaf] = 1.5
+    elif corrupt == "feature-overflows-int32":
+        tree["feature"][node] = 2**40
     else:
         tree["prob"].pop()
     with pytest.raises(ModelFormatError):

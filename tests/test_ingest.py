@@ -15,6 +15,7 @@ from dgadetect.ingest import (
     load_labeled_rows,
     load_scores_csv,
     read_domains,
+    read_line_chunks,
     read_pdns,
     record_to_json,
     record_vectorizer,
@@ -177,6 +178,27 @@ def test_read_domains_counts_unparseable_names(suffix_db):
     pairs = list(read_domains(lines, suffix_db, stats))
     assert [(r.name, p.fqdn) for r, p in pairs] == [("www.Example.com", "example.com")]
     assert stats.as_dict() == {"lines": 4, "parsed": 3, "skipped": 1, "unparseable_names": 2}
+
+
+class _Reads:
+    """A binary stream whose ``read1`` returns at most ``step`` bytes."""
+
+    def __init__(self, data: bytes, step: int):
+        self.data, self.step, self.pos = data, step, 0
+
+    def read1(self, size: int) -> bytes:
+        piece = self.data[self.pos:self.pos + min(size, self.step)]
+        self.pos += len(piece)
+        return piece
+
+
+@pytest.mark.parametrize("data", [b"", b"\n", b"a\n", b"a\nbb\n\nccc", b"x\r\ny\rz\n\n"])
+def test_read_line_chunks_splits_like_iterating_the_stream(data):
+    want = [line[:-1] if line.endswith(b"\n") else line for line in io.BytesIO(data)]
+    for step in (1, 2, 3, 7, 1 << 20):
+        chunks = list(read_line_chunks(_Reads(data, step)))
+        assert all(chunks)
+        assert [line for chunk in chunks for line in chunk] == want
 
 
 def test_pdns_roundtrip_exact():

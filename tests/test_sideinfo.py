@@ -1,3 +1,4 @@
+import ipaddress
 import random
 
 import pytest
@@ -166,3 +167,8 @@ def test_geodb_from_csv(tmp_path):
     db = GeoDb.from_csv(p)
     assert db.lookup("9.9.9.9") == ("CH", 1234)
     assert db.lookup("8.8.8.8") == (None, None)
+
+
+@pytest.mark.parametrize("ip", ["1.1.1.9", "10.200.0.1", "2001:db8::5", "8.8.8.8", "2001:4860::8888"])
+def test_lookup_takes_text_or_parsed_addresses(ip):
+    assert FIXTURE_4.lookup(ipaddress.ip_address(ip)) == FIXTURE_4.lookup(ip)
