@@ -93,7 +93,7 @@ class ScoresFormatError(DgaDetectError, ValueError):
 
 
 class LabelsFormatError(DgaDetectError, ValueError):
-    """A row of a labels CSV has no label column, or a label that is not
-    0 or 1."""
+    """A row of a labels CSV has no label column, a label that is not
+    0 or 1, or a label its provenance contradicts."""
 
     exit_code = 19

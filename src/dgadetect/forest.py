@@ -13,6 +13,15 @@ count.
 Scoring contract: a row's score is the mean of its trees' leaf
 probabilities added in tree order, so it is the same whether the row is
 scored alone or in any batch.
+
+Growth: each tree is grown level by level over presorted columns, as in
+SLIQ (Mehta, Agrawal & Rissanen, EDBT 1996).  The candidate columns of
+the bootstrap sample are sorted once, every column's order is then
+partitioned stably by node after each level, and every cut of every
+node of a level is scored in one pass.  Thresholds are exact midpoints
+between consecutive distinct values, with no binning, and nodes are
+numbered as a node-by-node depth-first grower numbers them, so models
+keep the bytes that grower wrote.
 """
 
 from __future__ import annotations
@@ -315,11 +324,12 @@ def entropy(counts: tuple[int, int] | Sequence[int]) -> float:
     return h
 
 
-def _xlog2x(arr: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(arr, dtype=np.float64)
-    nz = arr > 0
-    out[nz] = arr[nz] * np.log2(arr[nz])
-    return out
+def _xlog2x_table(n: int) -> np.ndarray:
+    """``v * log2(v)`` for every count v in 0..n, with 0 at v = 0."""
+    v = np.arange(n + 1, dtype=np.float64)
+    table = np.zeros(n + 1)
+    table[1:] = v[1:] * np.log2(v[1:])
+    return table
 
 
 # Gains this close count as tied, and ties resolve to the lowest feature
@@ -327,6 +337,87 @@ def _xlog2x(arr: np.ndarray) -> np.ndarray:
 # along different float paths land within a few ulps, far inside this
 # band; genuinely different gains sit far outside it.
 _GAIN_TIE_EPS = 1e-12
+
+
+def _best_splits(values, labels, sizes, pos, table):
+    """The best split of every node of a frontier, over all cuts at once.
+
+    ``values`` and ``labels`` are (k, N) arrays: row f holds candidate f's
+    values and their rows' labels, in consecutive segments of ``sizes``
+    rows (one per node, the same in every row), sorted by value within
+    each segment.  ``pos`` counts each node's positives, and ``table`` is
+    :func:`_xlog2x_table` of at least the largest node.
+
+    With T the table, a node of m rows and p positives, and a cut
+    sending l rows and q positives left, the cut's gain is
+    (T[m] - T[p] - T[m-p]) / m less
+    (T[l] - T[q] - T[l-q] + T[m-l] - T[p-q] - T[m-l-p+q]) / m, added in
+    that order: the order model bytes have always been computed in.  Each
+    candidate offers its lowest cut among those within the tie band of
+    its best gain, and the candidates are taken in order, a later one
+    winning only by more than the band.  Returns per node the candidate
+    row (-1 when no cut has positive gain), the threshold, the gain, and
+    the rows and positives going left.
+    """
+    k, n = values.shape
+    segments = len(sizes)
+    feature = np.full(segments, -1)
+    threshold = np.zeros(segments)
+    best = np.full(segments, -np.inf)
+    ends = np.cumsum(sizes)
+    seg = np.repeat(np.arange(segments), sizes)
+    rank = np.arange(n) - (ends - sizes)[seg]  # position within its node
+    # a cut after position p wherever the next value of its node differs
+    cut = np.zeros((k, n), dtype=bool)
+    np.not_equal(values[:, 1:], values[:, :-1], out=cut[:, :-1])
+    cut[:, ends - 1] = False
+    fi, pi = np.nonzero(cut)
+    if not len(pi):
+        return feature, threshold, best, np.zeros_like(feature), np.zeros_like(feature)
+    s = seg[pi]
+    m = sizes[s]
+    n_left = rank[pi] + 1
+    pos_left = np.cumsum(labels, axis=1)[fi, pi] - (np.cumsum(pos) - pos)[s]
+    neg_left = n_left - pos_left
+    n_right = m - n_left
+    pos_right = pos[s] - pos_left
+    neg_right = (m - pos[s]) - neg_left
+    weighted = (
+        table[n_left]
+        - table[pos_left]
+        - table[neg_left]
+        + table[n_right]
+        - table[pos_right]
+        - table[neg_right]
+    ) / m
+    parent = (table[sizes] - table[pos] - table[sizes - pos]) / sizes
+    gains = parent[s] - weighted
+    # per (candidate, node): the lowest cut among gains tied with the maximum
+    group = fi * segments + s
+    head = np.ones(len(group), dtype=bool)
+    np.not_equal(group[1:], group[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    top = np.maximum.reduceat(gains, heads)
+    tied = gains > np.repeat(top - _GAIN_TIE_EPS, np.diff(heads, append=len(gains)))
+    pick = np.minimum.reduceat(np.where(tied, np.arange(len(gains)), len(gains)), heads)
+    by_feature = np.full((k, segments), -np.inf)
+    at = np.zeros((k, segments), dtype=np.intp)
+    by_feature.ravel()[group[heads]] = gains[pick]
+    at.ravel()[group[heads]] = pick
+    # candidates in order: a later one wins only by more than the tie band
+    choice = np.zeros(segments, dtype=np.intp)
+    for f in range(k):
+        g = by_feature[f]
+        better = (g > _GAIN_TIE_EPS) & (g > best + _GAIN_TIE_EPS)
+        best[better] = g[better]
+        feature[better] = f
+        choice[better] = at[f, better]
+    lo = values[fi[choice], pi[choice]]
+    hi = values[fi[choice], pi[choice] + 1]
+    threshold = (lo + hi) / 2.0
+    up = threshold >= hi  # midpoint rounded up to the upper value
+    threshold[up] = lo[up]
+    return feature, threshold, best, n_left[choice], pos_left[choice]
 
 
 def best_split(
@@ -340,57 +431,74 @@ def best_split(
     Thresholds are midpoints between consecutive distinct sorted values.
     Ties break toward the lowest feature index, then the lowest
     threshold.  Returns None when no split has positive gain or the node
-    is too small.
+    is too small.  This is :func:`_best_splits` run on one node.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     m = len(y)
-    if m < min_samples_split:
-        return None
     pos = int(y.sum())
-    neg = m - pos
-    if pos == 0 or neg == 0:
+    if m < min_samples_split or pos == 0 or pos == m:
         return None
-    parent = (_xlog2x(np.array([m])) - _xlog2x(np.array([pos])) - _xlog2x(np.array([neg])))[0] / m
+    features = sorted(int(f) for f in candidate_features)
+    values = np.ascontiguousarray(X[:, features].T)
+    order = np.argsort(values, axis=1, kind="stable")
+    f, threshold, gain, _, _ = _best_splits(
+        np.take_along_axis(values, order, axis=1), y[order], np.array([m]), np.array([pos]),
+        _xlog2x_table(m))
+    if f[0] < 0:
+        return None
+    return features[f[0]], float(threshold[0]), float(gain[0])
 
-    best: tuple[float, int, float] | None = None  # (gain, feature, threshold)
-    for f in sorted(int(f) for f in candidate_features):
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        sy = y[order]
-        cuts = np.nonzero(sv[:-1] != sv[1:])[0]
-        if len(cuts) == 0:
-            continue
-        cum_pos = np.cumsum(sy)
-        n_left = (cuts + 1).astype(np.float64)
-        pos_left = cum_pos[cuts].astype(np.float64)
-        neg_left = n_left - pos_left
-        n_right = m - n_left
-        pos_right = pos - pos_left
-        neg_right = neg - neg_left
-        weighted = (
-            _xlog2x(n_left)
-            - _xlog2x(pos_left)
-            - _xlog2x(neg_left)
-            + _xlog2x(n_right)
-            - _xlog2x(pos_right)
-            - _xlog2x(neg_right)
-        ) / m
-        gains = parent - weighted
-        # lowest threshold among gains tied with the maximum
-        i = int(np.argmax(gains > float(gains.max()) - _GAIN_TIE_EPS))
-        gain = float(gains[i])
-        if gain > _GAIN_TIE_EPS and (best is None or gain > best[0] + _GAIN_TIE_EPS):
-            lo = float(sv[cuts[i]])
-            hi = float(sv[cuts[i] + 1])
-            threshold = (lo + hi) / 2.0
-            if threshold >= hi:  # midpoint rounded up to the upper value
-                threshold = lo
-            best = (gain, f, threshold)
-    if best is None:
-        return None
-    return best[1], best[2], best[0]
+
+def _splittable(sizes: np.ndarray, pos: np.ndarray, depth: int, cfg: TrainConfig) -> np.ndarray:
+    """Which nodes of one depth may split: mixed, large enough, and above
+    the depth limit."""
+    if cfg.max_depth is not None and depth >= cfg.max_depth:
+        return np.zeros(len(sizes), dtype=bool)
+    return (pos > 0) & (pos < sizes) & (sizes >= cfg.min_samples_split)
+
+
+def _partition(order, sizes, feature, n_left, child_sizes, child_live, n_rows):
+    """The next level's layout of ``order`` (see :func:`_grow_tree`).
+
+    Of the nodes laid out in ``order`` with ``sizes`` rows, each that
+    splits (``feature`` >= 0) sends the first ``n_left`` rows of its
+    candidate's order left and the rest right.  Every candidate's order
+    is partitioned stably into the children, two per split node, left
+    before right, keeping the rows of the children marked in
+    ``child_live``.
+    """
+    k, n = order.shape
+    split = feature >= 0
+    n_sides = len(child_sizes)
+    starts = np.cumsum(sizes) - sizes
+    # each row's side: 2j left and 2j + 1 right of the j-th split node;
+    # rows of nodes that do not split count as going right, to no child.
+    # A split node's rows in its candidate's order go left, then right.
+    at = np.flatnonzero(np.repeat(split, sizes))
+    side = np.full(n_rows, n_sides + 1)
+    side[order.ravel()[np.repeat(feature[split] * n, sizes[split]) + at]] = np.repeat(
+        np.arange(n_sides), child_sizes)
+    code = side[order]
+    right = code & 1
+    n_right = np.where(split, sizes - n_left, sizes)
+    right_before = (np.cumsum(n_right) - n_right)[split]  # in the nodes before
+    cum = np.cumsum(right, axis=1)  # in the row up to each entry
+    kept = np.where(child_live, child_sizes, 0)
+    total = int(kept.sum())
+    # An entry's destination is its side's base plus, going left, its
+    # position less the entries going right up to it, or, going right,
+    # their count.  Entries of no kept child land past the k * total
+    # kept ones.
+    child_start = np.where(child_live, np.cumsum(kept) - kept, k * total)
+    base = np.full(n_sides + 2, k * total)
+    base[0:n_sides:2] = child_start[0::2] - starts[split] + right_before
+    base[1:n_sides:2] = child_start[1::2] - 1 - right_before
+    left_rank = np.arange(n) - cum
+    dest = base[code] + left_rank + right * (cum - left_rank) + np.arange(0, k * total, total)[:, None]
+    out = np.empty(2 * k * total + n + 1, dtype=order.dtype)
+    out[dest] = order
+    return out[:k * total].reshape(k, total)
 
 
 def _grow_tree(
@@ -400,67 +508,81 @@ def _grow_tree(
     candidates: Sequence[int],
     cfg: TrainConfig,
 ) -> Tree:
-    # Work on a contiguous slice of just the candidate columns; node
-    # feature indices are mapped back to schema positions when stored.
+    """Grow one tree on the sample ``rows`` of X, level by level.
+
+    Each candidate column of the sample is sorted once.  ``order`` then
+    holds, per candidate, the sample positions of the nodes that may
+    still split, grouped by node and sorted by value within each node;
+    :func:`_partition` carries it from one level to the next.  All nodes
+    of a level are split by one :func:`_best_splits` call.
+    """
     candidates = [int(c) for c in candidates]
-    Xc = np.ascontiguousarray(X[:, candidates])
-    local = list(range(len(candidates)))
+    values = np.ascontiguousarray(X[np.ix_(rows, candidates)].T)
+    labels = np.asarray(y, dtype=np.int64)[rows]
+    n = len(labels)
+    table = _xlog2x_table(n)
+    order = np.argsort(values, axis=1, kind="stable")
+    offset = np.arange(0, values.size, n)[:, None]  # of each candidate's row in values
+    sizes = np.array([n])
+    pos = np.array([int(labels.sum())])
+    live = _splittable(sizes, pos, 0, cfg)
+    levels = []  # (sizes, positives, candidate, threshold) of each depth's nodes
+    depth = 0
+    while True:
+        feature = np.full(len(sizes), -1)
+        threshold = np.zeros(len(sizes))
+        levels.append((sizes, pos, feature, threshold))
+        if not live.any():
+            break
+        f, t, _, n_left, pos_left = _best_splits(
+            values.ravel()[order + offset], labels[order], sizes[live], pos[live], table)
+        split = f >= 0
+        if not split.any():
+            break
+        nodes = np.flatnonzero(live)[split]
+        feature[nodes] = f[split]
+        threshold[nodes] = t[split]
+        left_sizes, left_pos = n_left[split], pos_left[split]
+        child_sizes = np.column_stack((left_sizes, sizes[nodes] - left_sizes)).ravel()
+        child_pos = np.column_stack((left_pos, pos[nodes] - left_pos)).ravel()
+        depth += 1
+        child_live = _splittable(child_sizes, child_pos, depth, cfg)
+        if child_live.any():
+            order = _partition(order, sizes[live], f, n_left, child_sizes, child_live, n)
+        sizes, pos, live = child_sizes, child_pos, child_live
+    return _depth_first_tree(levels, candidates)
 
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    prob: list[float] = []
-    count: list[int] = []
 
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        prob.append(0.0)
-        count.append(0)
-        return len(feature) - 1
-
-    root = new_node()
-    stack: list[tuple[int, np.ndarray, int]] = [(root, rows, 0)]
+def _depth_first_tree(levels, candidates: list[int]) -> Tree:
+    """The tree grown as ``levels`` (see :func:`_grow_tree`), numbered as
+    a depth-first grower numbers its nodes: the root is 0, a node that
+    splits gives its children the next two ids, left then right, and the
+    right subtree is grown before the left one."""
+    sizes, pos, feature, threshold = (np.concatenate(a) for a in zip(*levels))
+    split = feature >= 0
+    # in breadth-first order, the i-th split node's children are 2i + 1 and 2i + 2
+    first_child = (2 * np.cumsum(split) - 1).tolist()
+    inner = split.tolist()
+    new = [0] * len(sizes)
+    stack, next_id = [0], 1
     while stack:
-        node, idx, depth = stack.pop()
-        sub_y = y[idx]
-        m = len(idx)
-        pos = int(sub_y.sum())
-        count[node] = m
-        prob[node] = pos / m
-        if (
-            pos == 0
-            or pos == m
-            or m < cfg.min_samples_split
-            or (cfg.max_depth is not None and depth >= cfg.max_depth)
-        ):
-            continue
-        found = best_split(Xc[idx], sub_y, local, cfg.min_samples_split)
-        if found is None:
-            continue
-        f, t, _ = found
-        go_left = Xc[idx, f] <= t
-        feature[node] = candidates[f]
-        threshold[node] = t
-        l_id = new_node()
-        r_id = new_node()
-        left[node] = l_id
-        right[node] = r_id
-        stack.append((l_id, idx[go_left], depth + 1))
-        stack.append((r_id, idx[~go_left], depth + 1))
-
-    return Tree(
-        feature=np.asarray(feature, dtype=np.int32),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int32),
-        right=np.asarray(right, dtype=np.int32),
-        prob=np.asarray(prob, dtype=np.float64),
-        count=np.asarray(count, dtype=np.int64),
-        candidates=tuple(int(c) for c in candidates),
-    )
+        node = stack.pop()
+        if inner[node]:
+            left = first_child[node]
+            new[left], new[left + 1] = next_id, next_id + 1
+            next_id += 2
+            stack += (left, left + 1)
+    new = np.array(new)
+    left = np.asarray(first_child)[split]
+    tree = {name: np.zeros(len(sizes), dtype) for name, dtype in _NODE_FIELDS}
+    tree["feature"][:] = tree["left"][:] = tree["right"][:] = -1
+    tree["feature"][new[split]] = np.asarray(candidates)[feature[split]]
+    tree["left"][new[split]] = new[left]
+    tree["right"][new[split]] = new[left + 1]
+    tree["threshold"][new] = threshold
+    tree["prob"][new] = pos / sizes
+    tree["count"][new] = sizes
+    return Tree(**tree, candidates=tuple(candidates))
 
 
 def calibrate_threshold(scores: Sequence[float], labels: Sequence[int], target_fpr: float) -> float:
@@ -659,20 +781,20 @@ def train(
     else:
         built = [_build_one_tree(X, y, cfg, k, t) for t in range(cfg.n_trees)]
 
-    n = len(y)
-    oob_sum = np.zeros(n, dtype=np.float64)
-    oob_cnt = np.zeros(n, dtype=np.int64)
-    for tree, in_bag in built:
-        oob = np.nonzero(~in_bag)[0]
-        if len(oob):
-            oob_sum[oob] += tree.predict(X[oob])
-            oob_cnt[oob] += 1
-
     flat = _flatten_trees([vars(tree) for tree, _ in built])
+    out_of_bag = ~np.stack([in_bag for _, in_bag in built])
     del built  # its trees live on as views into the flat arrays
     trees, nodes = _compile_trees(*flat, X.shape[1])
     model = ForestModel(feature_set, feature_set.feature_names(), trees, 0.0, country_codes, cfg,
                         nodes)
+    # each row's out-of-bag leaf probabilities, added in tree order as
+    # score_matrix adds them (adding 0.0 for in-bag trees changes nothing)
+    oob_sum = np.empty(len(y))
+    for start in range(0, len(y), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        probs = np.where(out_of_bag[:, block], nodes.leaf_probs(X[block]), 0.0)
+        oob_sum[block] = np.add.accumulate(probs)[-1]
+    oob_cnt = out_of_bag.sum(axis=0)
     covered = oob_cnt > 0
     if covered.any() and len(np.unique(y[covered])) == 2:
         calib_scores = oob_sum[covered] / oob_cnt[covered]

@@ -289,6 +289,11 @@ def write_pdns(records: Iterable[DnsRecord], fp) -> int:
     return n
 
 
+# The label a provenance implies: blacklisted names are DGA, names kept
+# by the benign heuristics are benign.
+_IMPLIED_LABEL = {"blacklist": Label.DGA, "heuristics": Label.BENIGN}
+
+
 @dataclass(frozen=True)
 class LabeledExample:
     """A record with its parsed domain, class label and provenance."""
@@ -299,10 +304,8 @@ class LabeledExample:
     source: str  # blacklist | heuristics | synthetic | unlabeled
 
     def __post_init__(self):
-        if self.source == "blacklist" and self.label is not Label.DGA:
-            raise ValueError("blacklist provenance implies a DGA label")
-        if self.source == "heuristics" and self.label is not Label.BENIGN:
-            raise ValueError("heuristics provenance implies a benign label")
+        if _IMPLIED_LABEL.get(self.source, self.label) is not self.label:
+            raise ValueError(f"{self.source} provenance implies label {int(_IMPLIED_LABEL[self.source])}")
 
 
 # --- synthetic dataset -------------------------------------------------
@@ -537,18 +540,20 @@ def write_labels_csv(examples: Iterable[LabeledExample], fp) -> None:
 def load_labeled_rows(fp) -> dict[str, tuple[Label, str]]:
     """domain -> (label, provenance); provenance defaults to "unlabeled"
     when the CSV lacks a source column.  Raises LabelsFormatError naming
-    the row when a row has no label or one that is not 0 or 1."""
+    the row when a row has no label, one that is not 0 or 1, or one its
+    provenance contradicts."""
     rows: dict[str, tuple[Label, str]] = {}
     for n, row in enumerate(csv.reader(fp), start=1):
         if not row or row[0] == "domain":
             continue
+        where = f"{getattr(fp, 'name', 'labels')} row {n}: {','.join(row)!r}"
         try:
             label = Label(int(row[1]))
         except (IndexError, ValueError):
-            raise LabelsFormatError(
-                f"{getattr(fp, 'name', 'labels')} row {n}: {','.join(row)!r} has no label 0 or 1"
-            ) from None
+            raise LabelsFormatError(f"{where} has no label 0 or 1") from None
         source = row[2].strip() if len(row) > 2 and row[2].strip() else "unlabeled"
+        if _IMPLIED_LABEL.get(source, label) is not label:
+            raise LabelsFormatError(f"{where}: {source} provenance implies label {int(_IMPLIED_LABEL[source])}")
         rows[row[0].strip().lower()] = (label, source)
     return rows
 

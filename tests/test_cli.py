@@ -354,15 +354,20 @@ def test_classify_hybrid_missing_score_keeps_earlier_verdicts(workspace, hybrid,
     assert out.read_bytes() == b"".join(verdicts[:100])
 
 
-BAD_LABELS = ("abc", "2", "")
+# labels that are not 0 or 1, no label column, and labels the provenance contradicts
+BAD_LABELS = ("abc", "2", "", "0,blacklist", "1,heuristics")
 
 
 def _labels_with(workspace, tmp_path, bad: str):
     """A copy of the labels CSV whose third data row (CSV row 4) holds
-    ``bad`` as its label, or has no label column when ``bad`` is empty."""
+    ``bad`` as its label, or as its label and source when ``bad`` names
+    both, or has no label column when ``bad`` is empty."""
     rows = (workspace / "data.labels.csv").read_text().splitlines()
     domain, _, source = rows[3].split(",")
-    rows[3] = f"{domain},{bad},{source}" if bad else domain
+    if not bad:
+        rows[3] = domain
+    else:
+        rows[3] = f"{domain},{bad}" if "," in bad else f"{domain},{bad},{source}"
     path = tmp_path / "bad.labels.csv"
     path.write_text("\n".join(rows) + "\n")
     return path

@@ -1,8 +1,11 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgadetect.core import FeatureVector, Label
 from dgadetect.errors import (
@@ -25,6 +28,7 @@ from dgadetect.forest import (
 from dgadetect.lexical import LEXICAL_FEATURES
 from dgadetect.sideinfo import SIDEINFO_FEATURES
 from oracles import (
+    OracleTreeNode,
     oracle_best_split,
     oracle_entropy,
     oracle_forest_score,
@@ -127,6 +131,25 @@ def test_best_split_crafted_six_rows():
     assert got[2] == pytest.approx(want[2], abs=1e-12)
 
 
+def test_best_split_tie_band_keeps_lowest_threshold():
+    # cuts after rows 2 and 8 have the same gain mathematically, but the
+    # later one computes an ulp higher; the tie band still picks the first
+    X = np.arange(10, dtype=np.float64)[:, None]
+    y = np.array([0, 0, 1, 0, 1, 0, 1, 0, 1, 1])
+    f, t, _ = best_split(X, y, [0])
+    assert (f, t) == (0, 1.5)
+    assert (f, t) == oracle_best_split(X.tolist(), y.tolist(), [0])[:2]
+
+
+def test_best_split_midpoint_rounding_up_keeps_lower_value():
+    lo = 1.0 + 2.0 ** -52
+    hi = math.nextafter(lo, 2.0)
+    assert (lo + hi) / 2.0 == hi  # the midpoint rounds up to the upper value
+    X = np.array([[lo], [hi], [lo], [hi]])
+    f, t, _ = best_split(X, np.array([0, 1, 0, 1]), [0])
+    assert (f, t) == (0, lo)
+
+
 def test_gain_nonnegative_and_children_bounded():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -226,6 +249,79 @@ def test_single_tree_matches_oracle_tree():
     got = tree.predict(X)
     want = np.array([oracle_tree_predict(oracle_root, row) for row in X.tolist()])
     assert np.array_equal(got, want)
+
+
+def test_xlog2x_table_matches_log2_per_value_and_in_odd_arrays():
+    from dgadetect.forest import _xlog2x_table
+
+    n = 12_000  # covers every count of the bench's 10,000-row training set
+    table = _xlog2x_table(n)
+    assert table[0] == 0.0
+    one_at_a_time = [v * np.log2(v) for v in np.arange(1, n + 1, dtype=np.float64)]
+    assert np.array_equal(table[1:], one_at_a_time)
+    for length in (1, 3, 7, 17, 33, 255, 1001):
+        for start in range(1, n + 1, length):
+            v = np.arange(start, min(start + length, n + 1), dtype=np.float64)
+            assert np.array_equal(table[start:start + len(v)], v * np.log2(v))
+
+
+TIED_VALUES = (-2.0, 0.0, 0.5, 1.0, 3.0)
+
+
+@st.composite
+def _tree_problems(draw):
+    """A small matrix with heavy value ties, labels, a sample with repeated
+    rows (as a bootstrap draws them), candidate columns and limits."""
+    n = draw(st.integers(1, 24))
+    d = draw(st.integers(1, 3))
+    value = st.one_of(st.sampled_from(TIED_VALUES), st.floats(-4.0, 4.0, width=16))
+    X = np.array(draw(st.lists(value, min_size=n * d, max_size=n * d))).reshape(n, d)
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    rows = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n)))
+    candidates = sorted(draw(st.sets(st.integers(0, d - 1), min_size=1)))
+    cfg = TrainConfig(n_trees=1, max_depth=draw(st.sampled_from((None, 1, 3))),
+                      min_samples_split=draw(st.sampled_from((2, 5))))
+    return X, y, rows, candidates, cfg
+
+
+def _oracle_size(node: OracleTreeNode) -> int:
+    return 1 if node.feature is None else 1 + _oracle_size(node.left) + _oracle_size(node.right)
+
+
+def _probe_grid(X: np.ndarray) -> np.ndarray:
+    """Every combination of each column's values, the midpoints between
+    them and a value beyond each end."""
+    axes = []
+    for col in X.T:
+        v = np.unique(col)
+        axes.append(np.concatenate([v, (v[1:] + v[:-1]) / 2, [v[0] - 1, v[-1] + 1]]))
+    return np.array(list(itertools.product(*axes)), dtype=np.float64)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_tree_problems())
+def test_grown_tree_matches_oracle_tree(problem):
+    from dgadetect.forest import _grow_tree
+
+    X, y, rows, candidates, cfg = problem
+    tree = _grow_tree(X, y, rows, candidates, cfg)
+    sample, labels = X[rows], y[rows]
+    reference = oracle_grow_tree(sample.tolist(), labels.tolist(), candidates,
+                                 cfg.min_samples_split, max_depth=cfg.max_depth)
+    assert len(tree.feature) == _oracle_size(reference)
+    for probe in (sample, _probe_grid(X)):
+        want = [oracle_tree_predict(reference, row) for row in probe.tolist()]
+        assert np.array_equal(tree.predict(probe), want)
+    # node ids as a depth-first grower allocates them: a split node's
+    # children take the next two ids, and the right subtree goes first
+    next_id, stack = 1, [0]
+    while stack:
+        node = stack.pop()
+        if tree.feature[node] >= 0:
+            assert (tree.left[node], tree.right[node]) == (next_id, next_id + 1)
+            stack += [next_id, next_id + 1]
+            next_id += 2
+    assert next_id == len(tree.feature)
 
 
 def test_depth_one_tree_scores_by_side():
@@ -449,6 +545,8 @@ def test_oob_fpr_within_target(small_dataset):
     oob_labels = y[covered]
     fp = ((oob_scores >= model.threshold) & (oob_labels == 0)).sum()
     assert fp / (oob_labels == 0).sum() <= cfg.target_fpr
+    # training sums them through the packed forest, to the same threshold
+    assert model.threshold == calibrate_threshold(oob_scores, oob_labels, cfg.target_fpr)
 
 
 # --- serialization ----------------------------------------------------------
