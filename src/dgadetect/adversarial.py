@@ -17,9 +17,11 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import FeatureVector, Label, ParsedDomain
+import numpy as np
+
+from .core import FeatureVector, ParsedDomain
 from .errors import PoolTooSmallError, SchemaMismatchError, SeedTooShortError
-from .forest import ForestModel, design_matrix
+from .forest import FeatureSet, ForestModel, design_matrix
 from .lexical import extract_lexical
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
@@ -82,36 +84,29 @@ def generate_evasive(seeds: Sequence[ParsedDomain], cfg: AttackConfig) -> list[P
 
 
 def pair_sideinfo(
-    adversarial: Sequence[ParsedDomain],
-    dga_pool: Sequence[FeatureVector],
+    lexical: np.ndarray,
+    donors: np.ndarray,
     trial_seed: int,
-) -> list[FeatureVector]:
-    """Attach donor side information to adversarial domains.
+    feature_set: FeatureSet,
+) -> np.ndarray:
+    """One trial's matrix for the evasive names, in ``feature_set``'s
+    schema order.
 
-    Lexical features are freshly extracted from each adversarial domain;
-    the side-information block is copied from a without-replacement
-    sample of the DGA pool.  Deterministic under trial_seed.
+    Row i pairs name i's lexical row with the side-information row of a
+    donor drawn without replacement from ``donors``, the DGA pool's
+    side-information rows.  Deterministic under trial_seed.
     """
-    if len(dga_pool) < len(adversarial):
+    if len(donors) < len(lexical):
         raise PoolTooSmallError(
-            f"pool of {len(dga_pool)} cannot cover {len(adversarial)} domains"
+            f"pool of {len(donors)} cannot cover {len(lexical)} domains"
         )
-    rng = random.Random(trial_seed)
-    picks = rng.sample(range(len(dga_pool)), len(adversarial))
-    vectors = []
-    for domain, j in zip(adversarial, picks):
-        donor = dga_pool[j]
-        if donor.sideinfo is None:
-            raise SchemaMismatchError("donor vector lacks the side-information block")
-        vectors.append(
-            FeatureVector(
-                lexical=extract_lexical(domain),
-                sideinfo=donor.sideinfo,
-                ext_score=None,
-                label=Label.DGA,
-            )
-        )
-    return vectors
+    picks = random.Random(trial_seed).sample(range(len(donors)), len(lexical))
+    blocks = []
+    if feature_set.dns:
+        blocks.append(donors[picks])
+    if feature_set.lexical:
+        blocks.append(lexical)
+    return np.hstack(blocks)
 
 
 @dataclass(frozen=True)
@@ -161,22 +156,26 @@ def _trial_seed(seed: int, trial: int) -> int:
 def robustness_eval(
     model: ForestModel,
     seeds: Sequence[ParsedDomain],
-    dga_pool: Sequence[FeatureVector],
+    donors: np.ndarray,
     cfg: AttackConfig = AttackConfig(),
     *,
     collect_flagged: bool = False,
 ) -> RobustnessReport:
-    """Run the full protocol: generate once, re-pair side information per
-    trial, score at the model's calibrated threshold, and report the mean
-    and population standard deviation of the per-trial detection rates.
+    """Run the full protocol: generate once, re-pair side information from
+    the donor rows per trial, score at the model's calibrated threshold,
+    and report the mean and population standard deviation of the
+    per-trial detection rates.
     """
+    if model.feature_set.ext:
+        raise SchemaMismatchError("evasive names have no external score")
     domains = generate_evasive(seeds, cfg)
+    lexical = design_matrix([FeatureVector(lexical=extract_lexical(d)) for d in domains],
+                            FeatureSet(lexical=True))
     rates = []
     flagged: list[tuple[str, ...]] = []
     for trial in range(cfg.n_trials):
-        vectors = pair_sideinfo(domains, dga_pool, _trial_seed(cfg.seed, trial))
-        scores = model.score_matrix(design_matrix(vectors, model.feature_set))
-        hits = scores >= model.threshold
+        X = pair_sideinfo(lexical, donors, _trial_seed(cfg.seed, trial), model.feature_set)
+        hits = model.score_matrix(X) >= model.threshold
         rates.append(float(hits.mean()))
         if collect_flagged:
             flagged.append(tuple(d.fqdn for d, h in zip(domains, hits) if h))

@@ -17,6 +17,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import adversarial, evaluation, forest, ingest, sideinfo
 from .core import Label, SuffixDb
 from .errors import DgaDetectError, SchemaMismatchError
@@ -58,27 +60,26 @@ def _write_manifest(out_path: Path, command: str, args: argparse.Namespace,
     return path
 
 
-def _config_dir_default(filename: str) -> Path | None:
+# --flag -> (its file in $DGADETECT_CONFIG_DIR, loader, bundled copy)
+_DATA_FILES = {
+    "suffixes": ("public_suffixes.txt", SuffixDb.from_file, SuffixDb.bundled),
+    "geoip": ("geoip.csv", GeoDb.from_csv, GeoDb.bundled),
+    "blacklist": ("blacklist.txt", ingest.Blacklist.from_file, ingest.Blacklist.bundled),
+    "whitelist": ("whitelist.txt", ingest.load_whitelist, frozenset),  # none is bundled
+}
+
+
+def _data_file(args, flag: str):
+    """The data file behind ``--<flag>``, by one rule for all four: the
+    flag's path, else its file in $DGADETECT_CONFIG_DIR when that exists,
+    else the bundled copy."""
+    filename, load, bundled = _DATA_FILES[flag]
+    if getattr(args, flag):
+        return load(getattr(args, flag))
     base = os.environ.get(CONFIG_DIR_ENV)
-    if base:
-        candidate = Path(base) / filename
-        if candidate.exists():
-            return candidate
-    return None
-
-
-def _load_suffixes(args) -> SuffixDb:
-    if args.suffixes:
-        return SuffixDb.from_file(args.suffixes)
-    fallback = _config_dir_default("public_suffixes.txt")
-    return SuffixDb.from_file(fallback) if fallback else SuffixDb.bundled()
-
-
-def _load_geo(args) -> GeoDb:
-    if args.geoip:
-        return GeoDb.from_csv(args.geoip)
-    fallback = _config_dir_default("geoip.csv")
-    return GeoDb.from_csv(fallback) if fallback else GeoDb.bundled()
+    if base and (Path(base) / filename).exists():
+        return load(Path(base) / filename)
+    return bundled()
 
 
 def _labels_path(args) -> Path:
@@ -92,7 +93,7 @@ def _load_labeled_examples(args) -> tuple[list[ingest.LabeledExample], dict]:
     stats = ingest.ParseStats()
     unlabeled = 0
     with open(args.data, "rb") as fp:
-        for record, parsed in ingest.read_domains(fp, _load_suffixes(args), stats):
+        for record, parsed in ingest.read_domains(fp, _data_file(args, "suffixes"), stats):
             row = labels.get(parsed.fqdn)
             if row is None:
                 unlabeled += 1
@@ -110,20 +111,22 @@ def _load_ext_scores(args) -> dict[str, float] | None:
         return ingest.load_scores_csv(fp)
 
 
-def _labeled_vectors(args, feature_set):
-    """Labeled vectors of --data, the country-code table built from its
-    addresses, and the parse stats."""
+def _labeled_matrix(args, feature_set):
+    """The schema-ordered matrix and labels of --data's labeled records,
+    the country-code table built from their addresses, and the parse
+    stats."""
     examples, stats = _load_labeled_examples(args)
-    geo = _load_geo(args)
+    geo = _data_file(args, "geoip")
     codes = sideinfo.build_country_codes(
         sideinfo.observed_countries((ex.record for ex in examples), geo)
     )
     build = ingest.record_vectorizer(feature_set, geo, codes, _load_ext_scores(args))
-    return [build(ex.record, ex.parsed, ex.label) for ex in examples], codes, stats
+    X = forest.design_matrix([build(ex.record, ex.parsed) for ex in examples], feature_set)
+    return X, np.array([ex.label for ex in examples], dtype=np.int64), codes, stats
 
 
 def _model_vectorizer(args, model: forest.ForestModel):
-    geo = _load_geo(args) if model.feature_set.dns else None
+    geo = _data_file(args, "geoip") if model.feature_set.dns else None
     return ingest.record_vectorizer(model.feature_set, geo, model.country_codes,
                                     _load_ext_scores(args))
 
@@ -147,9 +150,9 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     started = time.time()
     feature_set = forest.FeatureSet.parse(args.features)
-    vectors, codes, parse_stats = _labeled_vectors(args, feature_set)
+    X, y, codes, parse_stats = _labeled_matrix(args, feature_set)
     cfg = forest.TrainConfig(seed=args.seed, target_fpr=args.target_fpr)
-    model = forest.train(vectors, feature_set, cfg, country_codes=codes)
+    model = forest.train(X, y, feature_set, cfg, country_codes=codes)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     model.save(out)
@@ -180,7 +183,7 @@ def _write_verdicts(dst, model: forest.ForestModel, names: list[str], vectors: l
 def cmd_classify(args) -> int:
     started = time.time()
     model = forest.ForestModel.load(args.model)
-    suffixes = _load_suffixes(args)
+    suffixes = _data_file(args, "suffixes")
     build = _model_vectorizer(args, model)
 
     src = open(args.data, "rb") if args.data else sys.stdin.buffer
@@ -217,9 +220,9 @@ def cmd_classify(args) -> int:
 def cmd_evaluate(args) -> int:
     started = time.time()
     feature_set = forest.FeatureSet.parse(args.features)
-    vectors, _, parse_stats = _labeled_vectors(args, feature_set)
+    X, y, _, parse_stats = _labeled_matrix(args, feature_set)
     cfg = forest.TrainConfig(seed=args.seed, target_fpr=args.target_fpr)
-    report = evaluation.cross_validate(vectors, feature_set, cfg, k=args.folds, seed=args.seed)
+    report = evaluation.cross_validate(X, y, feature_set, cfg, k=args.folds, seed=args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     report_path = out.with_suffix(".json")
@@ -241,16 +244,19 @@ def cmd_evaluate(args) -> int:
 def cmd_audit(args) -> int:
     started = time.time()
     model = forest.ForestModel.load(args.model)
-    suffixes = _load_suffixes(args)
+    suffixes = _data_file(args, "suffixes")
     build = _model_vectorizer(args, model)
-    blacklist = ingest.Blacklist.from_file(args.blacklist).domains if args.blacklist else frozenset()
-    whitelist = ingest.load_whitelist(args.whitelist) if args.whitelist else frozenset()
+    blacklist = _data_file(args, "blacklist").domains
+    whitelist = _data_file(args, "whitelist")
 
     stats = ingest.ParseStats()
+    domains, vectors = [], []
     with open(args.data, "rb") as fp:
-        items = [(parsed, build(record, parsed))
-                 for record, parsed in ingest.read_domains(fp, suffixes, stats)]
-    report = evaluation.audit(items, model, blacklist, whitelist)
+        for record, parsed in ingest.read_domains(fp, suffixes, stats):
+            domains.append(parsed)
+            vectors.append(build(record, parsed))
+    scores = model.score_matrix(forest.design_matrix(vectors, model.feature_set))
+    report = evaluation.audit(domains, scores >= model.threshold, blacklist, whitelist)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report.to_json() + "\n", encoding="utf-8")
@@ -278,10 +284,13 @@ def cmd_attack(args) -> int:
     )
     seeds = [ex.parsed for ex in examples
              if ex.label is Label.BENIGN and len(ex.parsed.sld) > cfg.mutation_count]
-    dga_examples = [ex for ex in examples if ex.label is Label.DGA]
-    dga_pool = ingest.vectorize(dga_examples, _load_geo(args), codes)
+    dns = forest.FeatureSet(dns=True)
+    build = ingest.record_vectorizer(dns, _data_file(args, "geoip"), codes)
+    donors = forest.design_matrix(
+        [build(ex.record, ex.parsed) for ex in examples if ex.label is Label.DGA], dns
+    )
     report = adversarial.robustness_eval(
-        model, seeds, dga_pool, cfg, collect_flagged=bool(args.flagged_out)
+        model, seeds, donors, cfg, collect_flagged=bool(args.flagged_out)
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -93,13 +93,13 @@ class ParsedDomain:
 class FeatureVector:
     """Named numeric vector for one domain.
 
-    The lexical block is always present (it derives from the name alone);
-    the side-information block and the external confidence score are
-    optional because they need a resolved response and an upstream model
-    respectively.
+    Each block is optional, and present when the feature set it was
+    built for names it: the lexical block derives from the name alone,
+    the side-information block needs a resolved response and the
+    external confidence score an upstream model.
     """
 
-    lexical: "LexicalFeatures"
+    lexical: "LexicalFeatures | None" = None
     sideinfo: "SideInfoFeatures | None" = None
     ext_score: float | None = None
     label: Label | None = None

@@ -5,13 +5,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Container, Iterable, Sequence
+from typing import Container, Sequence
 
 import numpy as np
 
-from .core import FeatureVector, ParsedDomain
+from .core import ParsedDomain
 from .errors import SingleClassError, TooFewExamplesError
-from .forest import FeatureSet, TrainConfig, design_matrix, train
+from .forest import FeatureSet, TrainConfig, train
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def roc_auc(scores: Sequence[float], labels: Sequence[int]) -> tuple[RocCurve, f
     as one half.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray([int(l) for l in labels], dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
     p = int(np.sum(labels == 1))
     n = int(np.sum(labels == 0))
     if p == 0 or n == 0:
@@ -150,7 +150,7 @@ class EvalReport:
 def stratified_folds(labels: Sequence[int], k: int, seed: int) -> list[np.ndarray]:
     """Deterministic stratified fold assignment; per-class fold sizes
     differ by at most one."""
-    labels = np.asarray([int(l) for l in labels], dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     for cls in (0, 1):
@@ -164,28 +164,27 @@ def stratified_folds(labels: Sequence[int], k: int, seed: int) -> list[np.ndarra
 
 
 def cross_validate(
-    data: Sequence[FeatureVector],
+    X: np.ndarray,
+    y: np.ndarray,
     feature_set: FeatureSet,
     cfg: TrainConfig = TrainConfig(),
     k: int = 5,
     seed: int = 0,
 ) -> EvalReport:
-    """Stratified k-fold evaluation: train and calibrate on each training
-    split, sweep the ROC on the held-out fold, and aggregate by mean.
+    """Stratified k-fold evaluation of a schema-ordered matrix and its
+    labels: train and calibrate on each training split, sweep the ROC on
+    the held-out fold, and aggregate by mean.
 
     Calibration only ever sees training-fold rows; metrics only ever see
     held-out rows.  Deterministic for fixed data, config and seed.
     """
-    fold_idx = stratified_folds([v.label for v in data], k, seed)
     metrics: list[FoldMetrics] = []
-    for fold, test_rows in enumerate(fold_idx):
-        test_set = set(test_rows.tolist())
-        train_v = [v for i, v in enumerate(data) if i not in test_set]
-        test_v = [data[i] for i in test_rows]
-        model = train(train_v, feature_set, cfg)
-        scores = model.score_matrix(design_matrix(test_v, model.feature_set))
-        labels = [int(v.label) for v in test_v]
-        curve, auc = roc_auc(scores, labels)
+    for fold, test_rows in enumerate(stratified_folds(y, k, seed)):
+        held_out = np.zeros(len(y), dtype=bool)
+        held_out[test_rows] = True
+        model = train(X[~held_out], y[~held_out], feature_set, cfg)
+        scores = model.score_matrix(X[held_out])
+        curve, auc = roc_auc(scores, y[held_out])
         metrics.append(
             FoldMetrics(
                 fold=fold,
@@ -241,25 +240,20 @@ class AuditReport:
 
 
 def audit(
-    items: Iterable[tuple[ParsedDomain, FeatureVector]],
-    model,
+    domains: Sequence[ParsedDomain],
+    flags: Sequence[bool],
     blacklist: Container[str],
     whitelist: Container[str],
 ) -> AuditReport:
-    """Score a traffic stream and count classifier flags against the
-    blacklist and whitelist."""
+    """Count a traffic stream's classifier flags, one per domain, against
+    the blacklist and whitelist."""
     raw_total = raw_flagged = raw_fb = raw_fw = raw_bw = 0
     dedup_flagged: dict[str, bool] = {}
     dedup_lists: dict[str, tuple[bool, bool]] = {}
 
-    pairs = list(items)
-    if pairs:
-        scores = model.score_matrix(design_matrix([v for _, v in pairs], model.feature_set))
-    else:
-        scores = []
-    for (domain, _), score in zip(pairs, scores):
+    for domain, flag in zip(domains, flags):
         fqdn = domain.fqdn
-        flagged = bool(score >= model.threshold)
+        flagged = bool(flag)
         in_b = fqdn in blacklist
         in_w = fqdn in whitelist
         raw_total += 1

@@ -593,7 +593,7 @@ def calibrate_threshold(scores: Sequence[float], labels: Sequence[int], target_f
     benign score, or 0 when every benign score may be flagged.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray([int(l) for l in labels], dtype=np.int64)
+    labels = np.asarray(labels, dtype=np.int64)
     neg = scores[labels == 0]
     if len(neg) == 0:
         raise NoNegativesError("threshold calibration needs benign scores")
@@ -712,6 +712,8 @@ def design_matrix(vectors: Sequence[FeatureVector], feature_set: FeatureSet) -> 
                 raise SchemaMismatchError("vector lacks the side-information block")
             values.extend(v.sideinfo.as_dict().values())
         if feature_set.lexical:
+            if v.lexical is None:
+                raise SchemaMismatchError("vector lacks the lexical block")
             values.extend(v.lexical.as_dict().values())
         if feature_set.ext:
             if v.ext_score is None:
@@ -719,15 +721,6 @@ def design_matrix(vectors: Sequence[FeatureVector], feature_set: FeatureSet) -> 
             values.append(v.ext_score)
         rows[i] = values
     return rows
-
-
-def labels_array(vectors: Sequence[FeatureVector]) -> np.ndarray:
-    labels = []
-    for v in vectors:
-        if v.label is None:
-            raise ValueError("training vectors must be labeled")
-        labels.append(int(v.label))
-    return np.asarray(labels, dtype=np.int64)
 
 
 def _build_one_tree(
@@ -748,27 +741,35 @@ def _build_one_tree(
 
 
 def train(
-    data: Sequence[FeatureVector],
+    X: np.ndarray,
+    y: np.ndarray,
     feature_set: FeatureSet,
     cfg: TrainConfig = TrainConfig(),
     *,
     country_codes: CountryCodes | None = None,
     n_jobs: int = 1,
 ) -> ForestModel:
-    """Train and threshold-calibrate a forest on labeled vectors.
+    """Train and threshold-calibrate a forest on a schema-ordered matrix
+    (see :func:`design_matrix`) and its 0/1 labels.
 
     Each tree draws its feature subset and bootstrap sample from a
     generator seeded by (cfg.seed, tree index).  The decision threshold
     comes from out-of-bag scores when bootstrap sampling leaves any rows
     out; otherwise training scores are used.
 
-    Raises EmptyDataError on empty input and SingleClassError when only
-    one class is present.
+    Raises SchemaMismatchError unless X has the feature set's columns and
+    one label per row, EmptyDataError on zero rows and SingleClassError
+    when only one class is present.
     """
-    if not data:
-        raise EmptyDataError("no training vectors")
-    X = design_matrix(data, feature_set)
-    y = labels_array(data)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    width = len(feature_set.feature_names())
+    if X.ndim != 2 or X.shape[1] != width or y.shape != (len(X),):
+        raise SchemaMismatchError(f"training needs an (n, {width}) matrix and n labels")
+    if not len(y):
+        raise EmptyDataError("no training rows")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("labels must be 0 (benign) or 1 (DGA)")
     if y.min() == y.max():
         raise SingleClassError("training data must contain both classes")
     k = cfg.resolve_subset_size(X.shape[1])

@@ -220,8 +220,8 @@ def read_line_chunks(stream) -> Iterator[list[bytes]]:
 def read_pdns(stream: Iterable[str | bytes], stats: ParseStats | None = None) -> Iterator[DnsRecord]:
     """Stream DnsRecords out of a JSONL source, one object per line.
 
-    Malformed lines (not UTF-8, not JSON, a missing or mistyped field, an
-    address that is not an IP) are counted in ``stats`` and skipped, never
+    Malformed lines (not UTF-8, not JSON or JSON that Python cannot load,
+    a missing or mistyped field, an address that is not an IP) are counted in ``stats`` and skipped, never
     fatal.  Order is preserved.  Unreadable streams surface the
     underlying OSError.
     """
@@ -241,7 +241,7 @@ def read_pdns(stream: Iterable[str | bytes], stats: ParseStats | None = None) ->
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # bad JSON, an over-long integer, deep nesting
             stats.skipped += 1
             continue
         record = _record_from_obj(obj)
@@ -483,7 +483,7 @@ def record_vectorizer(
     """The record -> feature-vector step behind every command.
 
     Returns ``build(record, parsed, label=None)``, whose vector carries the
-    lexical block plus the side-information block and the external score
+    lexical block, the side-information block and the external score
     when ``feature_set`` names them.  Raises SchemaMismatchError up front
     when a dns feature set has no country-code table or an ext-score set
     has no scores, and per row when a domain has no external score: the
@@ -504,27 +504,13 @@ def record_vectorizer(
             except KeyError:
                 raise SchemaMismatchError(f"no external score for {parsed.fqdn}") from None
         return FeatureVector(
-            lexical=extract_lexical(parsed),
+            lexical=extract_lexical(parsed) if feature_set.lexical else None,
             sideinfo=extract_sideinfo(record, geo, codes) if feature_set.dns else None,
             ext_score=ext,
             label=label,
         )
 
     return build
-
-
-def vectorize(
-    examples: Sequence[LabeledExample],
-    geo: GeoDb,
-    countries: CountryCodes,
-    ext_scores: dict[str, float] | None = None,
-) -> list[FeatureVector]:
-    """Full labeled feature vectors (lexical + side info, plus the external
-    score when ``ext_scores`` is given) for a dataset, built by
-    :func:`record_vectorizer`."""
-    feature_set = FeatureSet(dns=True, lexical=True, ext=ext_scores is not None)
-    build = record_vectorizer(feature_set, geo, countries, ext_scores)
-    return [build(ex.record, ex.parsed, ex.label) for ex in examples]
 
 
 # --- CSV plumbing --------------------------------------------------------

@@ -7,8 +7,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from dgadetect.core import SuffixDb
 from dgadetect.forest import FeatureSet, TrainConfig, train
-from dgadetect.ingest import synth_dataset, vectorize
+from dgadetect.ingest import synth_dataset
 from dgadetect.sideinfo import GeoDb, build_country_codes, observed_countries
+from helpers import vectorize, xy
 
 
 @pytest.fixture(scope="session")
@@ -35,8 +36,6 @@ def small_dataset(geo):
 def small_models(small_dataset):
     _, vectors, codes = small_dataset
     cfg = TrainConfig(n_trees=15, seed=4)
-    return {
-        "lexical": train(vectors, FeatureSet.parse("lexical"), cfg, country_codes=codes),
-        "dns": train(vectors, FeatureSet.parse("dns"), cfg, country_codes=codes),
-        "dns+lexical": train(vectors, FeatureSet.parse("dns+lexical"), cfg, country_codes=codes),
-    }
+    feature_sets = {spec: FeatureSet.parse(spec) for spec in ("lexical", "dns", "dns+lexical")}
+    return {spec: train(*xy(vectors, fs), fs, cfg, country_codes=codes)
+            for spec, fs in feature_sets.items()}

@@ -23,11 +23,11 @@ from dgadetect.ingest import (
     benign_filter,
     read_pdns,
     synth_dataset,
-    vectorize,
     write_pdns,
 )
 from dgadetect.lexical import LEXICAL_FEATURES, extract_lexical, ngram_circle_median
 from dgadetect.sideinfo import GeoDb, build_country_codes, observed_countries
+from helpers import donor_rows, vectorize, xy
 from oracles import oracle_auc, oracle_grow_tree, oracle_lexical, oracle_ngram_median, oracle_tree_predict
 
 
@@ -50,11 +50,9 @@ def big_dataset():
 def big_models(big_dataset):
     _, vectors, codes = big_dataset
     cfg = TrainConfig(n_trees=100, seed=42)
-    return {
-        "lexical": train(vectors, FeatureSet.parse("lexical"), cfg, country_codes=codes),
-        "dns": train(vectors, FeatureSet.parse("dns"), cfg, country_codes=codes),
-        "dns+lexical": train(vectors, FeatureSet.parse("dns+lexical"), cfg, country_codes=codes),
-    }
+    feature_sets = {spec: FeatureSet.parse(spec) for spec in ("lexical", "dns", "dns+lexical")}
+    return {spec: train(*xy(vectors, fs), fs, cfg, country_codes=codes)
+            for spec, fs in feature_sets.items()}
 
 
 def _random_domains(n: int, seed: int) -> list[ParsedDomain]:
@@ -124,13 +122,9 @@ def test_c3_forest_oracle_equivalence():
         domains = _random_domains(200, seed=900 + trial)
         labels = [rng.randint(0, 1) for _ in range(200)]
         labels[0], labels[1] = 0, 1
-        vectors = [
-            FeatureVector(lexical=extract_lexical(dom), label=Label(lab))
-            for dom, lab in zip(domains, labels)
-        ]
+        X = design_matrix([FeatureVector(lexical=extract_lexical(dom)) for dom in domains], fs)
         cfg = TrainConfig(n_trees=1, bootstrap=False, features_per_tree=d, seed=trial)
-        model = train(vectors, fs, cfg)
-        X = design_matrix(vectors, fs)
+        model = train(X, np.array(labels), fs, cfg)
         reference = oracle_grow_tree(X.tolist(), labels, list(range(d)))
         got = model.score_matrix(X)
         want = np.array([oracle_tree_predict(reference, row) for row in X.tolist()])
@@ -169,8 +163,9 @@ def test_c5_end_to_end_synthetic_reproduction(big_dataset):
     _, vectors, _ = big_dataset
     started = time.monotonic()
     cfg = TrainConfig(n_trees=100, seed=42)
-    combined = cross_validate(vectors, FeatureSet.parse("dns+lexical"), cfg, k=5, seed=42)
-    dns_only = cross_validate(vectors, FeatureSet.parse("dns"), cfg, k=5, seed=42)
+    both, dns = FeatureSet.parse("dns+lexical"), FeatureSet.parse("dns")
+    combined = cross_validate(*xy(vectors, both), both, cfg, k=5, seed=42)
+    dns_only = cross_validate(*xy(vectors, dns), dns, cfg, k=5, seed=42)
     elapsed = time.monotonic() - started
     ok = (
         combined.tpr_at_fpr >= 0.95
@@ -198,7 +193,7 @@ def test_c6_robustness_protocol(big_dataset, big_models):
     combined model detects at least as much."""
     examples, vectors, _ = big_dataset
     seeds = [e.parsed for e in examples if e.label is Label.BENIGN and len(e.parsed.sld) > 2]
-    pool = [v for v in vectors if v.label is Label.DGA]
+    pool = donor_rows(vectors)
     cfg = AttackConfig(n_domains=1000, n_trials=5, seed=606)
 
     lexical_a = robustness_eval(big_models["lexical"], seeds, pool, cfg)
@@ -305,9 +300,10 @@ def test_c8_determinism_and_roundtrips(tmp_path):
     cfg = TrainConfig(n_trees=30, seed=88)
     fs = FeatureSet.parse("dns+lexical")
 
-    run_a = train(vectors, fs, cfg, country_codes=codes).to_json_bytes()
-    run_b = train(vectors, fs, cfg, country_codes=codes).to_json_bytes()
-    threaded = train(vectors, fs, cfg, country_codes=codes, n_jobs=4).to_json_bytes()
+    X, y = xy(vectors, fs)
+    run_a = train(X, y, fs, cfg, country_codes=codes).to_json_bytes()
+    run_b = train(X, y, fs, cfg, country_codes=codes).to_json_bytes()
+    threaded = train(X, y, fs, cfg, country_codes=codes, n_jobs=4).to_json_bytes()
 
     path = tmp_path / "model.json"
     path.write_bytes(run_a)

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from dgadetect.core import FeatureVector, Label, ParsedDomain
 from dgadetect.errors import PoolTooSmallError, SchemaMismatchError, SeedTooShortError
 from dgadetect.forest import FeatureSet
 from dgadetect.lexical import extract_lexical
+from dgadetect.sideinfo import SIDEINFO_FEATURES
+from helpers import donor_rows
 
 
 def _seed_pool():
@@ -85,56 +89,62 @@ def test_attack_config_validation():
         AttackConfig(n_trials=0)
 
 
-def _dga_pool(vectors, n=None):
-    pool = [v for v in vectors if v.label is Label.DGA]
-    return pool if n is None else pool[:n]
+BOTH = FeatureSet.parse("dns+lexical")
+N_SIDEINFO = len(SIDEINFO_FEATURES)
+
+
+def _lexical_rows(domains):
+    return np.array([list(extract_lexical(d).as_dict().values()) for d in domains])
 
 
 def test_pair_exact_pool_is_permutation(small_dataset):
     _, vectors, _ = small_dataset
     domains = generate_evasive(_seed_pool(), AttackConfig(n_domains=40, seed=6))
-    pool = _dga_pool(vectors, 40)
-    paired = pair_sideinfo(domains, pool, trial_seed=1)
-    donor_blocks = {id(v.sideinfo) for v in pool}
-    used_blocks = [id(v.sideinfo) for v in paired]
-    assert len(used_blocks) == 40
-    assert set(used_blocks) == donor_blocks  # without replacement, full cover
+    pool = donor_rows(vectors)[:40]
+    paired = pair_sideinfo(_lexical_rows(domains), pool, trial_seed=1, feature_set=BOTH)
+    used = paired[:, :N_SIDEINFO]
+    assert len(used) == 40
+    # without replacement, full cover
+    assert sorted(map(tuple, used.tolist())) == sorted(map(tuple, pool.tolist()))
+    assert np.array_equal(used, pool[random.Random(1).sample(range(40), 40)])
 
 
 def test_pair_trial_seeds_differ(small_dataset):
     _, vectors, _ = small_dataset
     domains = generate_evasive(_seed_pool(), AttackConfig(n_domains=30, seed=6))
-    pool = _dga_pool(vectors)
-    a = pair_sideinfo(domains, pool, trial_seed=1)
-    b = pair_sideinfo(domains, pool, trial_seed=2)
-    assert [v.sideinfo for v in a] != [v.sideinfo for v in b]
-    assert pair_sideinfo(domains, pool, trial_seed=1) == a
+    lexical, pool = _lexical_rows(domains), donor_rows(vectors)
+    a = pair_sideinfo(lexical, pool, trial_seed=1, feature_set=BOTH)
+    b = pair_sideinfo(lexical, pool, trial_seed=2, feature_set=BOTH)
+    assert not np.array_equal(a[:, :N_SIDEINFO], b[:, :N_SIDEINFO])
+    assert np.array_equal(pair_sideinfo(lexical, pool, trial_seed=1, feature_set=BOTH), a)
 
 
 def test_pair_recomputes_lexical(small_dataset):
     _, vectors, _ = small_dataset
     domains = generate_evasive(_seed_pool(), AttackConfig(n_domains=10, seed=7))
-    pool = _dga_pool(vectors)
-    for domain, paired in zip(domains, pair_sideinfo(domains, pool, trial_seed=3)):
-        assert paired.lexical == extract_lexical(domain)
-        assert paired.label is Label.DGA
-        # donor lexical block differs from the freshly extracted one
-        donor_lex = {id(v.lexical) for v in pool}
-        assert id(paired.lexical) not in donor_lex
+    lexical, pool = _lexical_rows(domains), donor_rows(vectors)
+    paired = pair_sideinfo(lexical, pool, trial_seed=3, feature_set=BOTH)
+    # the lexical columns are the evasive names' own, in name order
+    assert np.array_equal(paired[:, N_SIDEINFO:], lexical)
+    assert paired.shape == (10, len(BOTH.feature_names()))
+    lexical_only = pair_sideinfo(lexical, pool, trial_seed=3, feature_set=FeatureSet.parse("lexical"))
+    assert np.array_equal(lexical_only, lexical)
+    dns_only = pair_sideinfo(lexical, pool, trial_seed=3, feature_set=FeatureSet.parse("dns"))
+    assert np.array_equal(dns_only, paired[:, :N_SIDEINFO])
 
 
 def test_pair_pool_too_small(small_dataset):
     _, vectors, _ = small_dataset
     domains = generate_evasive(_seed_pool(), AttackConfig(n_domains=50, seed=8))
     with pytest.raises(PoolTooSmallError):
-        pair_sideinfo(domains, _dga_pool(vectors, 10), trial_seed=1)
+        pair_sideinfo(_lexical_rows(domains), donor_rows(vectors)[:10], trial_seed=1, feature_set=BOTH)
 
 
 def test_pair_requires_sideinfo():
-    domains = [ParsedDomain("substituted", "com")]
+    # donor rows come from design_matrix, which refuses a vector without side information
     bare = [FeatureVector(lexical=extract_lexical(ParsedDomain("donordomain", "com")), label=Label.DGA)]
     with pytest.raises(SchemaMismatchError):
-        pair_sideinfo(domains, bare, trial_seed=1)
+        donor_rows(bare)
 
 
 class _FlagEverything:
@@ -156,7 +166,7 @@ class _FlagNothing:
 def test_robustness_flag_everything(small_dataset):
     _, vectors, _ = small_dataset
     report = robustness_eval(
-        _FlagEverything(), _seed_pool(), _dga_pool(vectors), AttackConfig(n_domains=20, seed=1)
+        _FlagEverything(), _seed_pool(), donor_rows(vectors), AttackConfig(n_domains=20, seed=1)
     )
     assert report.mean == 1.0
     assert report.stddev == 0.0
@@ -166,7 +176,7 @@ def test_robustness_flag_everything(small_dataset):
 def test_robustness_constant_rates_stddev_zero(small_dataset):
     _, vectors, _ = small_dataset
     report = robustness_eval(
-        _FlagNothing(), _seed_pool(), _dga_pool(vectors), AttackConfig(n_domains=20, seed=1)
+        _FlagNothing(), _seed_pool(), donor_rows(vectors), AttackConfig(n_domains=20, seed=1)
     )
     assert report.mean == 0.0 and report.stddev == 0.0
 
@@ -176,7 +186,7 @@ def test_robustness_lexical_model_stddev_exactly_zero(small_dataset, small_model
     report = robustness_eval(
         small_models["lexical"],
         _seed_pool(),
-        _dga_pool(vectors),
+        donor_rows(vectors),
         AttackConfig(n_domains=100, n_trials=5, seed=2),
     )
     assert len(set(report.rates)) == 1  # side info ignored, trials identical
@@ -187,8 +197,8 @@ def test_robustness_lexical_model_stddev_exactly_zero(small_dataset, small_model
 def test_robustness_deterministic(small_dataset, small_models):
     _, vectors, _ = small_dataset
     cfg = AttackConfig(n_domains=60, n_trials=3, seed=9)
-    a = robustness_eval(small_models["dns+lexical"], _seed_pool(), _dga_pool(vectors), cfg)
-    b = robustness_eval(small_models["dns+lexical"], _seed_pool(), _dga_pool(vectors), cfg)
+    a = robustness_eval(small_models["dns+lexical"], _seed_pool(), donor_rows(vectors), cfg)
+    b = robustness_eval(small_models["dns+lexical"], _seed_pool(), donor_rows(vectors), cfg)
     assert a == b
 
 
@@ -196,12 +206,12 @@ def test_robustness_collect_flagged(small_dataset, small_models):
     _, vectors, _ = small_dataset
     cfg = AttackConfig(n_domains=50, n_trials=2, seed=16)
     report = robustness_eval(
-        small_models["dns+lexical"], _seed_pool(), _dga_pool(vectors), cfg, collect_flagged=True
+        small_models["dns+lexical"], _seed_pool(), donor_rows(vectors), cfg, collect_flagged=True
     )
     assert report.flagged is not None and len(report.flagged) == 2
     for rate, domains in zip(report.rates, report.flagged):
         assert len(domains) == round(rate * 50)
-    plain = robustness_eval(small_models["dns+lexical"], _seed_pool(), _dga_pool(vectors), cfg)
+    plain = robustness_eval(small_models["dns+lexical"], _seed_pool(), donor_rows(vectors), cfg)
     assert plain.flagged is None
     assert plain.rates == report.rates
 
@@ -209,7 +219,7 @@ def test_robustness_collect_flagged(small_dataset, small_models):
 def test_robustness_report_consistency(small_dataset, small_models):
     _, vectors, _ = small_dataset
     report = robustness_eval(
-        small_models["dns+lexical"], _seed_pool(), _dga_pool(vectors),
+        small_models["dns+lexical"], _seed_pool(), donor_rows(vectors),
         AttackConfig(n_domains=80, n_trials=5, seed=10),
     )
     assert all(0.0 <= r <= 1.0 for r in report.rates)

@@ -437,6 +437,10 @@ def test_exit_codes_distinct():
 MALFORMED_LINES = {
     "bad-ip": b'{"name":"badip.com","ttl":60,"type":1,"class":1,"data":["999.1.1.1"]}',
     "not-utf8": b"\xff\xfe",
+    # json.loads raises ValueError for an integer of more than 4,300
+    # digits and RecursionError for nesting this deep
+    "huge-integer": b'{"name":"huge.com","ttl":' + b"9" * 5000 + b',"type":1,"class":1,"data":["1.1.1.1"]}',
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
 }
 
 
@@ -450,6 +454,32 @@ def _data_with_line(workspace, tmp_path, line: bytes):
 
 def _stats(out):
     return json.loads(open(str(out) + ".manifest.json").read())["stats"]
+
+
+def test_audit_lists_follow_the_data_file_rule(workspace, tmp_path, monkeypatch):
+    """--blacklist and --whitelist fall back to $DGADETECT_CONFIG_DIR, then
+    to the bundled blacklist and to an empty whitelist."""
+    listed = b'{"name":"xkqvjrmwpahz.com","ttl":60,"type":1,"class":1,"data":["1.1.1.1"]}'
+    data = _data_with_line(workspace, tmp_path, listed)  # in the bundled blacklist
+    confdir = tmp_path / "conf"
+    confdir.mkdir()
+    (confdir / "whitelist.txt").write_text("xkqvjrmwpahz.com\n")
+    monkeypatch.setenv("DGADETECT_CONFIG_DIR", str(confdir))
+
+    def overlap(*flags):
+        out = tmp_path / "audit.json"
+        assert _run(["audit", "--model", workspace / "model.json", "--data", data,
+                     "--out", out, *flags]) == 0
+        return json.loads(out.read_text())["raw"]["blacklist_whitelist_overlap"]
+
+    assert overlap() == 1  # the bundled blacklist and the config dir's whitelist
+    (confdir / "blacklist.txt").write_text("other.com\n")
+    assert overlap() == 0  # the config dir's blacklist replaces the bundled one
+    flag_list = tmp_path / "bl.txt"
+    flag_list.write_text("xkqvjrmwpahz.com\n")
+    assert overlap("--blacklist", flag_list) == 1  # the flag wins over both
+    monkeypatch.delenv("DGADETECT_CONFIG_DIR")
+    assert overlap() == 0  # no whitelist is bundled
 
 
 @pytest.mark.parametrize("kind", sorted(MALFORMED_LINES))

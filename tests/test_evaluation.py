@@ -15,6 +15,7 @@ from dgadetect.evaluation import (
     tpr_at_fpr,
 )
 from dgadetect.forest import FeatureSet, TrainConfig, train
+from helpers import xy
 from oracles import oracle_auc
 
 
@@ -162,7 +163,8 @@ def test_cross_validate_trivial_data(small_dataset):
         for i in range(100)
     ]
     cfg = TrainConfig(n_trees=5, seed=2)
-    report = cross_validate(trivial, FeatureSet.parse("ext-score"), cfg, k=5, seed=3)
+    ext = FeatureSet.parse("ext-score")
+    report = cross_validate(*xy(trivial, ext), ext, cfg, k=5, seed=3)
     assert report.tpr_at_fpr == 1.0
     assert report.auc == 1.0
     assert len(report.folds) == 5
@@ -172,16 +174,19 @@ def test_cross_validate_trivial_data(small_dataset):
 def test_cross_validate_deterministic(small_dataset):
     _, vectors, _ = small_dataset
     cfg = TrainConfig(n_trees=4, seed=2)
-    a = cross_validate(vectors, FeatureSet.parse("dns"), cfg, k=5, seed=3)
-    b = cross_validate(vectors, FeatureSet.parse("dns"), cfg, k=5, seed=3)
+    dns = FeatureSet.parse("dns")
+    X, y = xy(vectors, dns)
+    a = cross_validate(X, y, dns, cfg, k=5, seed=3)
+    b = cross_validate(X, y, dns, cfg, k=5, seed=3)
     assert a == b
-    c = cross_validate(vectors, FeatureSet.parse("dns"), cfg, k=5, seed=4)
+    c = cross_validate(X, y, dns, cfg, k=5, seed=4)
     assert a != c
 
 
 def test_cross_validate_report_json(small_dataset):
     _, vectors, _ = small_dataset
-    report = cross_validate(vectors, FeatureSet.parse("lexical"), TrainConfig(n_trees=3, seed=1), k=5, seed=1)
+    lexical = FeatureSet.parse("lexical")
+    report = cross_validate(*xy(vectors, lexical), lexical, TrainConfig(n_trees=3, seed=1), k=5, seed=1)
     obj = json.loads(report.to_json())
     assert {"auc", "auc_at_fpr", "tpr_at_fpr", "folds", "config", "target_fpr"} <= set(obj)
     assert len(obj["folds"]) == 5
@@ -193,43 +198,28 @@ def test_cross_validate_isolation(small_dataset):
     when the held-out rows' labels are flipped."""
     _, vectors, _ = small_dataset
     cfg = TrainConfig(n_trees=3, seed=5)
-    folds = stratified_folds([v.label for v in vectors], 5, seed=7)
-    test_rows = set(folds[0].tolist())
-    train_v = [v for i, v in enumerate(vectors) if i not in test_rows]
-    model_a = train(train_v, FeatureSet.parse("lexical"), cfg)
+    lexical = FeatureSet.parse("lexical")
+    X, y = xy(vectors, lexical)
+    folds = stratified_folds(y, 5, seed=7)
+    in_train = np.ones(len(y), dtype=bool)
+    in_train[folds[0]] = False
+    model_a = train(X[in_train], y[in_train], lexical, cfg)
 
-    flipped = [
-        FeatureVector(
-            lexical=v.lexical,
-            sideinfo=v.sideinfo,
-            ext_score=v.ext_score,
-            label=Label(1 - int(v.label)) if i in test_rows else v.label,
-        )
-        for i, v in enumerate(vectors)
-    ]
-    train_b = [v for i, v in enumerate(flipped) if i not in test_rows]
-    model_b = train(train_b, FeatureSet.parse("lexical"), cfg)
+    flipped = np.where(in_train, y, 1 - y)
+    model_b = train(X[in_train], flipped[in_train], lexical, cfg)
     assert model_a.to_json_bytes() == model_b.to_json_bytes()
 
 
 # --- audit ---------------------------------------------------------------------
 
 
-class _StubModel:
-    """Deterministic stand-in whose score is each item's external score."""
-
-    threshold = 0.5
-    feature_set = FeatureSet.parse("ext-score")
-
-    def score_matrix(self, X):
-        return X[:, 0]
-
-
 def _item(sld, score):
-    domain = ParsedDomain(sld, "com")
-    from dgadetect.lexical import extract_lexical
+    return ParsedDomain(sld, "com"), score
 
-    return domain, FeatureVector(lexical=extract_lexical(domain), ext_score=score)
+
+def _audit(items, blacklist, whitelist):
+    """Audit with each item's score as its classifier score, flagged at 0.5."""
+    return audit([d for d, _ in items], [s >= 0.5 for _, s in items], blacklist, whitelist)
 
 
 def test_audit_hand_counted_fixture():
@@ -248,7 +238,7 @@ def test_audit_hand_counted_fixture():
     ]
     blacklist = {"flaggedblack1.com", "flaggedblack2.com", "blackonly.com"}
     whitelist = {"white1.com", "white2.com", "flaggedonly1.com"}
-    report = audit(items, _StubModel(), blacklist, whitelist)
+    report = _audit(items, blacklist, whitelist)
     assert report.raw.total == 10
     assert report.raw.flagged == 4
     assert report.raw.flagged_blacklist == 2
@@ -259,21 +249,21 @@ def test_audit_hand_counted_fixture():
 
 def test_audit_empty_whitelist():
     items = [_item("somedomain1", 0.9), _item("somedomain2", 0.1)]
-    report = audit(items, _StubModel(), {"somedomain1.com"}, frozenset())
+    report = _audit(items, {"somedomain1.com"}, frozenset())
     assert report.raw.flagged_whitelist == 0
 
 
 def test_audit_all_blacklisted_all_flagged():
     items = [_item(f"domain{i}xyz", 0.99) for i in range(5)]
     blacklist = {f"domain{i}xyz.com" for i in range(5)}
-    report = audit(items, _StubModel(), blacklist, frozenset())
+    report = _audit(items, blacklist, frozenset())
     assert report.raw.flagged_blacklist == report.raw.total == 5
 
 
 def test_audit_deduplication():
     # same domain appears twice: once flagged, once not
     items = [_item("repeatdomain", 0.9), _item("repeatdomain", 0.1), _item("otherdomain", 0.2)]
-    report = audit(items, _StubModel(), {"repeatdomain.com"}, {"repeatdomain.com"})
+    report = _audit(items, {"repeatdomain.com"}, {"repeatdomain.com"})
     assert report.raw.total == 3
     assert report.raw.flagged == 1
     assert report.deduplicated.total == 2

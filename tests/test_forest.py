@@ -27,6 +27,7 @@ from dgadetect.forest import (
 )
 from dgadetect.lexical import LEXICAL_FEATURES
 from dgadetect.sideinfo import SIDEINFO_FEATURES
+from helpers import vectorize, xy
 from oracles import (
     OracleTreeNode,
     oracle_best_split,
@@ -36,6 +37,8 @@ from oracles import (
     oracle_threshold_sweep,
     oracle_tree_predict,
 )
+
+LEXICAL, DNS, BOTH = (FeatureSet.parse(spec) for spec in ("lexical", "dns", "dns+lexical"))
 
 
 # --- entropy --------------------------------------------------------------
@@ -179,7 +182,7 @@ def test_gain_nonnegative_and_children_bounded():
 
 def _toy_vectors(n=60, seed=0):
     """Trivially separable one-signal vectors via real extraction."""
-    from dgadetect.ingest import synth_dataset, vectorize
+    from dgadetect.ingest import synth_dataset
     from dgadetect.sideinfo import GeoDb, build_country_codes, observed_countries
 
     examples = synth_dataset(n // 2, n // 2, seed=seed)
@@ -199,7 +202,8 @@ def test_train_trivially_separable_perfect(small_dataset):
         )
         for i in range(50)
     ]
-    model = train(trivial, FeatureSet.parse("ext-score"), TrainConfig(n_trees=5, seed=1))
+    ext = FeatureSet.parse("ext-score")
+    model = train(*xy(trivial, ext), ext, TrainConfig(n_trees=5, seed=1))
     scores = model.score_matrix(design_matrix(trivial, model.feature_set))
     labels = np.array([int(v.label) for v in trivial])
     assert ((scores >= 0.5) == labels.astype(bool)).mean() == 1.0
@@ -209,10 +213,11 @@ def test_train_deterministic_bytes(small_dataset):
     _, vectors, _ = small_dataset
     cfg = TrainConfig(n_trees=8, seed=3)
     fs = FeatureSet.parse("dns+lexical")
-    a = train(vectors, fs, cfg).to_json_bytes()
-    b = train(vectors, fs, cfg).to_json_bytes()
+    X, y = xy(vectors, fs)
+    a = train(X, y, fs, cfg).to_json_bytes()
+    b = train(X, y, fs, cfg).to_json_bytes()
     assert a == b
-    c = train(vectors, fs, TrainConfig(n_trees=8, seed=4)).to_json_bytes()
+    c = train(X, y, fs, TrainConfig(n_trees=8, seed=4)).to_json_bytes()
     assert a != c
 
 
@@ -220,19 +225,40 @@ def test_train_thread_count_invariant(small_dataset):
     _, vectors, _ = small_dataset
     cfg = TrainConfig(n_trees=8, seed=3)
     fs = FeatureSet.parse("dns+lexical")
+    X, y = xy(vectors, fs)
     assert (
-        train(vectors, fs, cfg, n_jobs=1).to_json_bytes()
-        == train(vectors, fs, cfg, n_jobs=4).to_json_bytes()
+        train(X, y, fs, cfg, n_jobs=1).to_json_bytes()
+        == train(X, y, fs, cfg, n_jobs=4).to_json_bytes()
     )
 
 
 def test_train_errors(small_dataset):
     _, vectors, _ = small_dataset
     with pytest.raises(EmptyDataError):
-        train([], FeatureSet.parse("lexical"), TrainConfig())
+        train(*xy([], LEXICAL), LEXICAL, TrainConfig())
     only_benign = [v for v in vectors if v.label is Label.BENIGN]
     with pytest.raises(SingleClassError):
-        train(only_benign, FeatureSet.parse("lexical"), TrainConfig(n_trees=2))
+        train(*xy(only_benign, LEXICAL), LEXICAL, TrainConfig(n_trees=2))
+
+
+@pytest.mark.parametrize("defect", ["narrow", "wide", "short-labels", "long-labels", "flat"])
+def test_train_refuses_arrays_off_the_schema(small_dataset, defect):
+    X, y = xy(small_dataset[1][280:320], LEXICAL)
+    X, y = {
+        "narrow": (X[:, :-1], y),
+        "wide": (np.hstack([X, X[:, :1]]), y),
+        "short-labels": (X, y[:-1]),
+        "long-labels": (X, np.append(y, 0)),
+        "flat": (X.ravel(), y),
+    }[defect]
+    with pytest.raises(SchemaMismatchError):
+        train(X, y, LEXICAL, TrainConfig(n_trees=2))
+
+
+def test_train_refuses_labels_other_than_0_and_1(small_dataset):
+    X, y = xy(small_dataset[1][280:320], LEXICAL)
+    with pytest.raises(ValueError):
+        train(X, np.where(y == 1, 2, 0), LEXICAL, TrainConfig(n_trees=2))
 
 
 def test_single_tree_matches_oracle_tree():
@@ -342,7 +368,7 @@ def test_depth_one_tree_scores_by_side():
 
 def test_forest_score_is_tree_mean(small_dataset):
     _, vectors, _ = small_dataset
-    model = train(vectors, FeatureSet.parse("lexical"), TrainConfig(n_trees=7, seed=2))
+    model = train(*xy(vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=7, seed=2))
     X = design_matrix(vectors[:20], model.feature_set)
     per_tree = np.stack([t.predict(X) for t in model.trees])
     assert np.allclose(model.score_matrix(X), per_tree.mean(axis=0))
@@ -400,7 +426,7 @@ def test_score_with_a_tree_that_is_one_leaf(small_models, small_dataset):
 
 def test_depth_one_forest_sends_threshold_values_left(small_dataset):
     _, vectors, _ = small_dataset
-    model = train(vectors, FeatureSet.parse("lexical"), TrainConfig(n_trees=6, seed=5, max_depth=1))
+    model = train(*xy(vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=6, seed=5, max_depth=1))
     assert all(len(t.feature) in (1, 3) for t in model.trees)
     X = _probe_rows(model, vectors, 400, seed=2)
     assert np.array_equal(model.score_matrix(X), _oracle_scores(model, X))
@@ -421,13 +447,21 @@ def test_score_matrix_refuses_rows_of_another_width(small_models, small_dataset)
 
 def test_score_schema_mismatch(small_dataset):
     _, vectors, _ = small_dataset
-    model = train(vectors, FeatureSet.parse("dns+lexical"), TrainConfig(n_trees=3, seed=1))
+    model = train(*xy(vectors, BOTH), BOTH, TrainConfig(n_trees=3, seed=1))
     naked = FeatureVector(lexical=vectors[0].lexical)  # no sideinfo block
     with pytest.raises(SchemaMismatchError):
         model.score_matrix(design_matrix([naked], model.feature_set))
-    hybrid = train(vectors, FeatureSet.parse("lexical"), TrainConfig(n_trees=3, seed=1))
+    hybrid = train(*xy(vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=3, seed=1))
     # lexical-only model is fine with it
     assert 0.0 <= hybrid.score_matrix(design_matrix([naked], hybrid.feature_set))[0] <= 1.0
+
+
+def test_design_matrix_refuses_a_vector_without_the_lexical_block(small_dataset):
+    sideinfo_only = FeatureVector(sideinfo=small_dataset[1][0].sideinfo)
+    assert design_matrix([sideinfo_only], DNS).shape == (1, len(SIDEINFO_FEATURES))
+    for fs in (LEXICAL, BOTH):
+        with pytest.raises(SchemaMismatchError):
+            design_matrix([sideinfo_only], fs)
 
 
 def test_ext_score_schema(small_dataset):
@@ -436,7 +470,8 @@ def test_ext_score_schema(small_dataset):
         FeatureVector(lexical=v.lexical, sideinfo=v.sideinfo, ext_score=float(int(v.label)), label=v.label)
         for v in vectors
     ]
-    model = train(with_ext, FeatureSet.parse("dns+lexical+ext-score"), TrainConfig(n_trees=3, seed=9))
+    hybrid = FeatureSet.parse("dns+lexical+ext-score")
+    model = train(*xy(with_ext, hybrid), hybrid, TrainConfig(n_trees=3, seed=9))
     assert model.schema[-1] == "ext_score"
     with pytest.raises(SchemaMismatchError):
         model.score_matrix(design_matrix(vectors[:1], model.feature_set))  # lacks ext_score
@@ -446,20 +481,20 @@ def test_feature_subset_sizes(small_dataset):
     _, vectors, _ = small_dataset
     fs = FeatureSet.parse("dns+lexical")
     d = len(fs.feature_names())
-    model = train(vectors, fs, TrainConfig(n_trees=6, seed=5))
+    model = train(*xy(vectors, fs), fs, TrainConfig(n_trees=6, seed=5))
     expected = max(1, int(math.isqrt(d)))
     for tree in model.trees:
         assert len(tree.candidates) == expected
         assert all(0 <= c < d for c in tree.candidates)
-    full = train(vectors, fs, TrainConfig(n_trees=2, seed=5, features_per_tree=d))
+    full = train(*xy(vectors, fs), fs, TrainConfig(n_trees=2, seed=5, features_per_tree=d))
     assert all(len(t.candidates) == d for t in full.trees)
-    frac = train(vectors, fs, TrainConfig(n_trees=2, seed=5, features_per_tree=0.5))
+    frac = train(*xy(vectors, fs), fs, TrainConfig(n_trees=2, seed=5, features_per_tree=0.5))
     assert all(len(t.candidates) == max(1, int(0.5 * d)) for t in frac.trees)
 
 
 def test_tree_subsets_differ_across_trees(small_dataset):
     _, vectors, _ = small_dataset
-    model = train(vectors, FeatureSet.parse("dns+lexical"), TrainConfig(n_trees=12, seed=0))
+    model = train(*xy(vectors, BOTH), BOTH, TrainConfig(n_trees=12, seed=0))
     assert len({t.candidates for t in model.trees}) > 1
 
 
@@ -526,7 +561,7 @@ def test_calibrate_oracle_various_targets():
 def test_oob_fpr_within_target(small_dataset):
     _, vectors, _ = small_dataset
     cfg = TrainConfig(n_trees=25, seed=6, target_fpr=0.05)
-    model = train(vectors, FeatureSet.parse("dns"), cfg)
+    model = train(*xy(vectors, DNS), DNS, cfg)
     # recompute the out-of-bag scores exactly as training saw them
     from dgadetect.forest import _build_one_tree
 
@@ -554,7 +589,7 @@ def test_oob_fpr_within_target(small_dataset):
 
 def test_model_roundtrip_bytes_and_scores(small_dataset, tmp_path):
     _, vectors, _ = small_dataset
-    model = train(vectors, FeatureSet.parse("dns+lexical"), TrainConfig(n_trees=5, seed=8))
+    model = train(*xy(vectors, BOTH), BOTH, TrainConfig(n_trees=5, seed=8))
     raw = model.to_json_bytes()
     clone = ForestModel.from_json_bytes(raw)
     assert clone.to_json_bytes() == raw
@@ -572,7 +607,7 @@ def test_model_roundtrip_bytes_and_scores(small_dataset, tmp_path):
 
 def test_model_version_guard(small_dataset):
     _, vectors, _ = small_dataset
-    model = train(vectors, FeatureSet.parse("lexical"), TrainConfig(n_trees=2, seed=1))
+    model = train(*xy(vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=2, seed=1))
     raw = model.to_json_bytes().replace(b'"version":1', b'"version":99')
     with pytest.raises(ValueError):
         ForestModel.from_json_bytes(raw)
@@ -580,7 +615,7 @@ def test_model_version_guard(small_dataset):
 
 def test_model_corruption_guards(small_dataset):
     _, vectors, _ = small_dataset
-    model = train(vectors, FeatureSet.parse("lexical"), TrainConfig(n_trees=2, seed=1))
+    model = train(*xy(vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=2, seed=1))
     import json as _json
 
     obj = _json.loads(model.to_json_bytes())
@@ -602,7 +637,7 @@ def _first_split(tree: dict) -> int:
 ])
 def test_model_tree_topology_validated(small_dataset, corrupt):
     _, vectors, _ = small_dataset
-    model = train(vectors, FeatureSet.parse("lexical"), TrainConfig(n_trees=2, seed=1))
+    model = train(*xy(vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=2, seed=1))
     import json as _json
 
     obj = _json.loads(model.to_json_bytes())
@@ -629,7 +664,7 @@ def test_model_tree_topology_validated(small_dataset, corrupt):
 
 def test_model_country_codes_need_reserved_names(small_dataset):
     _, vectors, _ = small_dataset
-    model = train(vectors, FeatureSet.parse("dns"), TrainConfig(n_trees=2, seed=1),
+    model = train(*xy(vectors, DNS), DNS, TrainConfig(n_trees=2, seed=1),
                   country_codes=small_dataset[2])
     import json as _json
 
@@ -683,6 +718,7 @@ def test_all_six_configurations_trainable(small_dataset):
     ]
     cfg = TrainConfig(n_trees=3, seed=2)
     for spec in ("dns", "lexical", "dns+lexical", "ext-score", "dns+ext-score", "dns+lexical+ext-score"):
-        model = train(with_ext, FeatureSet.parse(spec), cfg)
+        fs = FeatureSet.parse(spec)
+        model = train(*xy(with_ext, fs), fs, cfg)
         assert model.feature_set.id == spec
         assert 0 <= model.score_matrix(design_matrix(with_ext[:1], model.feature_set))[0] <= 1

@@ -18,6 +18,7 @@ import pytest
 from dgadetect import forest, ingest
 from dgadetect.cli import main
 from dgadetect.sideinfo import GeoDb, build_country_codes, observed_countries
+from helpers import vectorize
 
 SEED = 42
 N_PER_CLASS = 300
@@ -67,7 +68,7 @@ def output_digests(root) -> dict[str, str]:
     geo = GeoDb.bundled()
     examples = ingest.synth_dataset(N_PER_CLASS, N_PER_CLASS, SEED)
     codes = build_country_codes(observed_countries((ex.record for ex in examples), geo))
-    X = forest.design_matrix(ingest.vectorize(examples, geo, codes),
+    X = forest.design_matrix(vectorize(examples, geo, codes),
                              forest.FeatureSet.parse("dns+lexical"))
     assert X.shape == (2 * N_PER_CLASS, 35) and X.dtype == "float64"
     out["design_matrix"] = _sha256(X.tobytes())

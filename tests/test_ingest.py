@@ -1,7 +1,10 @@
 import io
+import json
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgadetect.core import DnsRecord, Label, ParsedDomain
 from dgadetect.errors import SchemaMismatchError
@@ -20,7 +23,6 @@ from dgadetect.ingest import (
     record_to_json,
     record_vectorizer,
     synth_dataset,
-    vectorize,
     write_labels_csv,
     write_pdns,
 )
@@ -167,6 +169,19 @@ def test_read_pdns_skips_undecodable_and_bad_ips():
     assert (stats.lines, stats.parsed, stats.skipped) == (4, 1, 3)
 
 
+def test_read_pdns_skips_lines_json_cannot_load():
+    ok = '{"name":"%s","ttl":1,"type":1,"class":1,"data":["1.1.1.1"]}'
+    lines = [
+        ok % "a.com",
+        '{"name":"huge.com","ttl":' + "9" * 5000 + ',"type":1,"class":1,"data":["1.1.1.1"]}',
+        "[" * 100_000 + "]" * 100_000,
+        ok % "b.com",
+    ]
+    stats = ParseStats()
+    assert [r.name for r in read_pdns(lines, stats)] == ["a.com", "b.com"]
+    assert (stats.lines, stats.parsed, stats.skipped) == (4, 2, 2)
+
+
 def test_read_domains_counts_unparseable_names(suffix_db):
     lines = [
         '{"name":"www.Example.com","ttl":1,"type":1,"class":1,"data":["1.1.1.1"]}',
@@ -178,6 +193,54 @@ def test_read_domains_counts_unparseable_names(suffix_db):
     pairs = list(read_domains(lines, suffix_db, stats))
     assert [(r.name, p.fqdn) for r, p in pairs] == [("www.Example.com", "example.com")]
     assert stats.as_dict() == {"lines": 4, "parsed": 3, "skipped": 1, "unparseable_names": 2}
+
+
+# --- the counted-skip boundary, fuzzed --------------------------------------
+
+_HUGE = "\x00huge"  # stands for an integer of more digits than json.loads converts
+_odd = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8), st.just(_HUGE),
+    st.lists(st.integers(), max_size=2),
+)
+_addresses = st.one_of(
+    st.sampled_from(["1.2.3.4", "2001:db8::1", "fe80::1%eth0"]),
+    st.sampled_from(["999.1.1.1", "", "1.2.3.4 "]) | st.text(max_size=12),
+)
+_records = st.builds(
+    # a well-formed record, then up to two fields replaced by odd values
+    lambda record, odd: record | odd,
+    st.fixed_dictionaries({
+        "name": st.sampled_from(["example.com", "www.Example.co.uk", "bücher.de", "例え.jp", "com"]),
+        "ttl": st.integers(0, 3600),
+        "type": st.sampled_from([1, 28]),
+        "class": st.just(1),
+        "data": st.lists(_addresses, min_size=1, max_size=2),
+    }),
+    st.just({}) | st.dictionaries(st.sampled_from(["name", "ttl", "type", "class", "qtype", "data"]),
+                                  _odd, max_size=2),
+)
+
+
+def _json_line(obj, as_bytes: bool):
+    line = json.dumps(obj, ensure_ascii=False).replace(json.dumps(_HUGE), "9" * 5000)
+    return line.encode("utf-8") if as_bytes else line
+
+
+_lines = st.one_of(
+    st.builds(_json_line, _records, st.booleans()),
+    st.binary(max_size=24),
+    st.text(max_size=24),
+    st.sampled_from([3, 100_000]).map(lambda depth: "[" * depth + "]" * depth),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lines=st.lists(_lines, max_size=8))
+def test_read_domains_never_raises_and_counts_every_line(suffix_db, lines):
+    stats = ParseStats()
+    pairs = list(read_domains(lines, suffix_db, stats))
+    assert stats.lines == len(lines) == stats.parsed + stats.skipped
+    assert len(pairs) == stats.parsed - stats.unparseable_names
 
 
 class _Reads:
@@ -290,13 +353,14 @@ def test_synth_rejects_bad_counts():
         synth_dataset(0, 5, seed=1)
 
 
-# --- vectorize / csv -----------------------------------------------------
+# --- record_vectorizer / csv ---------------------------------------------
 
 
 def test_vectorize_blocks_and_labels(geo):
     examples = synth_dataset(9, 9, seed=13)
     codes = build_country_codes(observed_countries((e.record for e in examples), geo))
-    vectors = vectorize(examples, geo, codes)
+    build = record_vectorizer(FeatureSet.parse("dns+lexical"), geo, codes)
+    vectors = [build(e.record, e.parsed, e.label) for e in examples]
     assert len(vectors) == 18
     assert all(v.sideinfo is not None for v in vectors)
     assert [int(v.label) for v in vectors] == [int(e.label) for e in examples]
@@ -323,11 +387,12 @@ def test_vectorize_ext_scores_strict(geo):
     examples = synth_dataset(3, 3, seed=13)
     codes = build_country_codes([])
     scores = {e.parsed.fqdn: 0.5 for e in examples}
-    vectors = vectorize(examples, geo, codes, scores)
-    assert all(v.ext_score == 0.5 for v in vectors)
+    hybrid = FeatureSet.parse("dns+lexical+ext-score")
+    build = record_vectorizer(hybrid, geo, codes, scores)
+    assert all(build(e.record, e.parsed).ext_score == 0.5 for e in examples)
     scores.popitem()
     with pytest.raises(SchemaMismatchError):
-        vectorize(examples, geo, codes, scores)
+        [build(e.record, e.parsed) for e in examples]
 
 
 def test_labels_csv_roundtrip(geo, tmp_path):
