@@ -102,7 +102,6 @@ class FeatureVector:
     lexical: "LexicalFeatures | None" = None
     sideinfo: "SideInfoFeatures | None" = None
     ext_score: float | None = None
-    label: Label | None = None
 
     def __post_init__(self):
         if self.ext_score is not None and not 0.0 <= self.ext_score <= 1.0:

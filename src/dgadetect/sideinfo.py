@@ -12,7 +12,7 @@ import csv
 import ipaddress
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import DnsRecord
 from .errors import MalformedIpError
@@ -180,8 +180,21 @@ def _subnet_key(addr) -> tuple[int, int]:
     return addr.version, (int(addr) >> (bits - plen)) << (bits - plen)
 
 
-def extract_sideinfo(record: DnsRecord, geo: GeoDb, countries: CountryCodes) -> SideInfoFeatures:
-    """Extract the 9 side-information features from one record.
+class AddressFeatures(NamedTuple):
+    """The side-information features that depend on a record's answer set
+    alone, given the geo and country-code tables."""
+
+    rrlength: int
+    country: int
+    n_ip: int
+    n_asn: int
+    subnet: int
+    n_countries: int
+
+
+def address_features(data: tuple[str, ...], geo: GeoDb, countries: CountryCodes) -> AddressFeatures:
+    """The answer-set block of :func:`extract_sideinfo` for the addresses
+    ``data``, in answer order (order and duplicates count in rrlength).
 
     country resolution: the shared country's code when every address maps
     to a single known country; "multi-valued" when two or more distinct
@@ -192,7 +205,7 @@ def extract_sideinfo(record: DnsRecord, geo: GeoDb, countries: CountryCodes) -> 
     network; rrlength is the serialized RData proxy: per answer, 4 or 16
     address bytes plus a fixed 6-byte overhead.
     """
-    addrs = [parse_ip(ip) for ip in record.data]
+    addrs = [parse_ip(ip) for ip in data]
     distinct = {(a.version, int(a)): a for a in addrs}
 
     known_countries: set[str] = set()
@@ -219,14 +232,39 @@ def extract_sideinfo(record: DnsRecord, geo: GeoDb, countries: CountryCodes) -> 
 
     subnets = {_subnet_key(a) for a in distinct.values()}
 
-    return SideInfoFeatures(
+    return AddressFeatures(
         rrlength=sum((4 if a.version == 4 else 16) + _RDATA_FIXED_OVERHEAD for a in addrs),
         country=countries.code(country_value),
-        ttl=record.ttl,
         n_ip=len(distinct),
-        qtype=record.qtype,
-        rtype=record.rtype,
         n_asn=len(known_asns) + (1 if unknown_asn else 0),
         subnet=int(len(subnets) == 1),
         n_countries=len(known_countries) + (1 if unknown_country else 0),
+    )
+
+
+def extract_sideinfo(
+    record: DnsRecord,
+    geo: GeoDb,
+    countries: CountryCodes,
+    *,
+    _addresses: AddressFeatures | None = None,
+) -> SideInfoFeatures:
+    """Extract the 9 side-information features from one record: the
+    answer-set block of :func:`address_features` plus the record's own
+    ttl, qtype and rtype.
+
+    ``_addresses`` is that block when the caller already holds it for
+    ``record.data`` (a featurizer's memo); it is computed otherwise.
+    """
+    block = _addresses if _addresses is not None else address_features(record.data, geo, countries)
+    return SideInfoFeatures(
+        rrlength=block.rrlength,
+        country=block.country,
+        ttl=record.ttl,
+        n_ip=block.n_ip,
+        qtype=record.qtype,
+        rtype=record.rtype,
+        n_asn=block.n_asn,
+        subnet=block.subnet,
+        n_countries=block.n_countries,
     )

@@ -34,8 +34,8 @@ def small_dataset(geo):
 
 @pytest.fixture(scope="session")
 def small_models(small_dataset):
-    _, vectors, codes = small_dataset
+    examples, vectors, codes = small_dataset
     cfg = TrainConfig(n_trees=15, seed=4)
     feature_sets = {spec: FeatureSet.parse(spec) for spec in ("lexical", "dns", "dns+lexical")}
-    return {spec: train(*xy(vectors, fs), fs, cfg, country_codes=codes)
+    return {spec: train(*xy(examples, vectors, fs), fs, cfg, country_codes=codes)
             for spec, fs in feature_sets.items()}

@@ -48,10 +48,10 @@ def big_dataset():
 
 @pytest.fixture(scope="module")
 def big_models(big_dataset):
-    _, vectors, codes = big_dataset
+    examples, vectors, codes = big_dataset
     cfg = TrainConfig(n_trees=100, seed=42)
     feature_sets = {spec: FeatureSet.parse(spec) for spec in ("lexical", "dns", "dns+lexical")}
-    return {spec: train(*xy(vectors, fs), fs, cfg, country_codes=codes)
+    return {spec: train(*xy(examples, vectors, fs), fs, cfg, country_codes=codes)
             for spec, fs in feature_sets.items()}
 
 
@@ -160,12 +160,12 @@ def test_c5_end_to_end_synthetic_reproduction(big_dataset):
     """Criterion 5: 5-fold CV on synth(5000, 5000, seed=42): the combined
     model clears TPR@0.1%FPR >= 0.95 and AUC >= 0.99 and strictly beats
     the side-information-only model on both; under 5 minutes."""
-    _, vectors, _ = big_dataset
+    examples, vectors, _ = big_dataset
     started = time.monotonic()
     cfg = TrainConfig(n_trees=100, seed=42)
     both, dns = FeatureSet.parse("dns+lexical"), FeatureSet.parse("dns")
-    combined = cross_validate(*xy(vectors, both), both, cfg, k=5, seed=42)
-    dns_only = cross_validate(*xy(vectors, dns), dns, cfg, k=5, seed=42)
+    combined = cross_validate(*xy(examples, vectors, both), both, cfg, k=5, seed=42)
+    dns_only = cross_validate(*xy(examples, vectors, dns), dns, cfg, k=5, seed=42)
     elapsed = time.monotonic() - started
     ok = (
         combined.tpr_at_fpr >= 0.95
@@ -193,7 +193,7 @@ def test_c6_robustness_protocol(big_dataset, big_models):
     combined model detects at least as much."""
     examples, vectors, _ = big_dataset
     seeds = [e.parsed for e in examples if e.label is Label.BENIGN and len(e.parsed.sld) > 2]
-    pool = donor_rows(vectors)
+    pool = donor_rows(examples, vectors)
     cfg = AttackConfig(n_domains=1000, n_trials=5, seed=606)
 
     lexical_a = robustness_eval(big_models["lexical"], seeds, pool, cfg)
@@ -300,7 +300,7 @@ def test_c8_determinism_and_roundtrips(tmp_path):
     cfg = TrainConfig(n_trees=30, seed=88)
     fs = FeatureSet.parse("dns+lexical")
 
-    X, y = xy(vectors, fs)
+    X, y = xy(examples, vectors, fs)
     run_a = train(X, y, fs, cfg, country_codes=codes).to_json_bytes()
     run_b = train(X, y, fs, cfg, country_codes=codes).to_json_bytes()
     threaded = train(X, y, fs, cfg, country_codes=codes, n_jobs=4).to_json_bytes()

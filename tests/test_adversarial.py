@@ -98,9 +98,9 @@ def _lexical_rows(domains):
 
 
 def test_pair_exact_pool_is_permutation(small_dataset):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     domains = generate_evasive(_seed_pool(), AttackConfig(n_domains=40, seed=6))
-    pool = donor_rows(vectors)[:40]
+    pool = donor_rows(examples, vectors)[:40]
     paired = pair_sideinfo(_lexical_rows(domains), pool, trial_seed=1, feature_set=BOTH)
     used = paired[:, :N_SIDEINFO]
     assert len(used) == 40
@@ -110,9 +110,9 @@ def test_pair_exact_pool_is_permutation(small_dataset):
 
 
 def test_pair_trial_seeds_differ(small_dataset):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     domains = generate_evasive(_seed_pool(), AttackConfig(n_domains=30, seed=6))
-    lexical, pool = _lexical_rows(domains), donor_rows(vectors)
+    lexical, pool = _lexical_rows(domains), donor_rows(examples, vectors)
     a = pair_sideinfo(lexical, pool, trial_seed=1, feature_set=BOTH)
     b = pair_sideinfo(lexical, pool, trial_seed=2, feature_set=BOTH)
     assert not np.array_equal(a[:, :N_SIDEINFO], b[:, :N_SIDEINFO])
@@ -120,9 +120,9 @@ def test_pair_trial_seeds_differ(small_dataset):
 
 
 def test_pair_recomputes_lexical(small_dataset):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     domains = generate_evasive(_seed_pool(), AttackConfig(n_domains=10, seed=7))
-    lexical, pool = _lexical_rows(domains), donor_rows(vectors)
+    lexical, pool = _lexical_rows(domains), donor_rows(examples, vectors)
     paired = pair_sideinfo(lexical, pool, trial_seed=3, feature_set=BOTH)
     # the lexical columns are the evasive names' own, in name order
     assert np.array_equal(paired[:, N_SIDEINFO:], lexical)
@@ -134,17 +134,18 @@ def test_pair_recomputes_lexical(small_dataset):
 
 
 def test_pair_pool_too_small(small_dataset):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     domains = generate_evasive(_seed_pool(), AttackConfig(n_domains=50, seed=8))
     with pytest.raises(PoolTooSmallError):
-        pair_sideinfo(_lexical_rows(domains), donor_rows(vectors)[:10], trial_seed=1, feature_set=BOTH)
+        pair_sideinfo(_lexical_rows(domains), donor_rows(examples, vectors)[:10], trial_seed=1, feature_set=BOTH)
 
 
-def test_pair_requires_sideinfo():
+def test_pair_requires_sideinfo(small_dataset):
     # donor rows come from design_matrix, which refuses a vector without side information
-    bare = [FeatureVector(lexical=extract_lexical(ParsedDomain("donordomain", "com")), label=Label.DGA)]
+    dga = [next(e for e in small_dataset[0] if e.label is Label.DGA)]
+    bare = [FeatureVector(lexical=extract_lexical(ParsedDomain("donordomain", "com")))]
     with pytest.raises(SchemaMismatchError):
-        donor_rows(bare)
+        donor_rows(dga, bare)
 
 
 class _FlagEverything:
@@ -164,9 +165,9 @@ class _FlagNothing:
 
 
 def test_robustness_flag_everything(small_dataset):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     report = robustness_eval(
-        _FlagEverything(), _seed_pool(), donor_rows(vectors), AttackConfig(n_domains=20, seed=1)
+        _FlagEverything(), _seed_pool(), donor_rows(examples, vectors), AttackConfig(n_domains=20, seed=1)
     )
     assert report.mean == 1.0
     assert report.stddev == 0.0
@@ -174,19 +175,19 @@ def test_robustness_flag_everything(small_dataset):
 
 
 def test_robustness_constant_rates_stddev_zero(small_dataset):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     report = robustness_eval(
-        _FlagNothing(), _seed_pool(), donor_rows(vectors), AttackConfig(n_domains=20, seed=1)
+        _FlagNothing(), _seed_pool(), donor_rows(examples, vectors), AttackConfig(n_domains=20, seed=1)
     )
     assert report.mean == 0.0 and report.stddev == 0.0
 
 
 def test_robustness_lexical_model_stddev_exactly_zero(small_dataset, small_models):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     report = robustness_eval(
         small_models["lexical"],
         _seed_pool(),
-        donor_rows(vectors),
+        donor_rows(examples, vectors),
         AttackConfig(n_domains=100, n_trials=5, seed=2),
     )
     assert len(set(report.rates)) == 1  # side info ignored, trials identical
@@ -195,31 +196,31 @@ def test_robustness_lexical_model_stddev_exactly_zero(small_dataset, small_model
 
 
 def test_robustness_deterministic(small_dataset, small_models):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     cfg = AttackConfig(n_domains=60, n_trials=3, seed=9)
-    a = robustness_eval(small_models["dns+lexical"], _seed_pool(), donor_rows(vectors), cfg)
-    b = robustness_eval(small_models["dns+lexical"], _seed_pool(), donor_rows(vectors), cfg)
+    a = robustness_eval(small_models["dns+lexical"], _seed_pool(), donor_rows(examples, vectors), cfg)
+    b = robustness_eval(small_models["dns+lexical"], _seed_pool(), donor_rows(examples, vectors), cfg)
     assert a == b
 
 
 def test_robustness_collect_flagged(small_dataset, small_models):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     cfg = AttackConfig(n_domains=50, n_trials=2, seed=16)
     report = robustness_eval(
-        small_models["dns+lexical"], _seed_pool(), donor_rows(vectors), cfg, collect_flagged=True
+        small_models["dns+lexical"], _seed_pool(), donor_rows(examples, vectors), cfg, collect_flagged=True
     )
     assert report.flagged is not None and len(report.flagged) == 2
     for rate, domains in zip(report.rates, report.flagged):
         assert len(domains) == round(rate * 50)
-    plain = robustness_eval(small_models["dns+lexical"], _seed_pool(), donor_rows(vectors), cfg)
+    plain = robustness_eval(small_models["dns+lexical"], _seed_pool(), donor_rows(examples, vectors), cfg)
     assert plain.flagged is None
     assert plain.rates == report.rates
 
 
 def test_robustness_report_consistency(small_dataset, small_models):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     report = robustness_eval(
-        small_models["dns+lexical"], _seed_pool(), donor_rows(vectors),
+        small_models["dns+lexical"], _seed_pool(), donor_rows(examples, vectors),
         AttackConfig(n_domains=80, n_trials=5, seed=10),
     )
     assert all(0.0 <= r <= 1.0 for r in report.rates)

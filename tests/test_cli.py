@@ -441,6 +441,8 @@ MALFORMED_LINES = {
     # digits and RecursionError for nesting this deep
     "huge-integer": b'{"name":"huge.com","ttl":' + b"9" * 5000 + b',"type":1,"class":1,"data":["1.1.1.1"]}',
     "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+    # a TTL json.loads reads but no float holds (RFC 2181 caps it at 2**31 - 1)
+    "huge-ttl": b'{"name":"hugettl.com","ttl":' + b"9" * 400 + b',"type":1,"class":1,"data":["1.1.1.1"]}',
 }
 
 

@@ -2,6 +2,8 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgadetect.core import DnsRecord, FeatureVector, Label, ParsedDomain, SuffixDb, parse_domain
 from dgadetect.errors import EmptySldError, InvalidDomainError, NoValidSuffixError
@@ -69,6 +71,24 @@ def test_no_character_invention(suffix_db):
         except InvalidDomainError:
             continue
         assert set(d.fqdn) <= set(raw.lower())
+
+
+_labels = st.sampled_from(["com", "co", "uk", "www", "-", "a-", "xn--p1ai", "EXAMPLE", "ǰ", "İ", "\u212a", ""])
+_names = st.one_of(
+    st.text(max_size=30),
+    st.lists(_labels | st.text(max_size=4), max_size=4).map(".".join),
+    st.builds(str.__add__, st.lists(_labels, max_size=3).map(".".join), st.sampled_from([".", "\n", " ", ".."])),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=_names)
+def test_parse_domain_raises_only_invalid_domain_errors(suffix_db, name):
+    try:
+        parsed = parse_domain(name, suffix_db)
+    except InvalidDomainError:
+        return
+    assert parse_domain(parsed.fqdn, suffix_db) == ParsedDomain(parsed.sld, parsed.tld)
 
 
 def test_dns_record_invariants():

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dgadetect.core import FeatureVector, Label, ParsedDomain
+from dgadetect.core import FeatureVector, ParsedDomain
 from dgadetect.errors import SingleClassError, TooFewExamplesError
 from dgadetect.evaluation import (
     RocCurve,
@@ -14,7 +14,7 @@ from dgadetect.evaluation import (
     stratified_folds,
     tpr_at_fpr,
 )
-from dgadetect.forest import FeatureSet, TrainConfig, train
+from dgadetect.forest import FeatureSet, TrainConfig, design_matrix, train
 from helpers import xy
 from oracles import oracle_auc
 
@@ -158,13 +158,12 @@ def test_cross_validate_trivial_data(small_dataset):
         FeatureVector(
             lexical=vectors[i % 20].lexical,
             ext_score=0.9 if i % 2 else 0.1,
-            label=Label(i % 2),
         )
         for i in range(100)
     ]
     cfg = TrainConfig(n_trees=5, seed=2)
     ext = FeatureSet.parse("ext-score")
-    report = cross_validate(*xy(trivial, ext), ext, cfg, k=5, seed=3)
+    report = cross_validate(design_matrix(trivial, ext), np.arange(100) % 2, ext, cfg, k=5, seed=3)
     assert report.tpr_at_fpr == 1.0
     assert report.auc == 1.0
     assert len(report.folds) == 5
@@ -172,10 +171,10 @@ def test_cross_validate_trivial_data(small_dataset):
 
 
 def test_cross_validate_deterministic(small_dataset):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     cfg = TrainConfig(n_trees=4, seed=2)
     dns = FeatureSet.parse("dns")
-    X, y = xy(vectors, dns)
+    X, y = xy(examples, vectors, dns)
     a = cross_validate(X, y, dns, cfg, k=5, seed=3)
     b = cross_validate(X, y, dns, cfg, k=5, seed=3)
     assert a == b
@@ -184,9 +183,9 @@ def test_cross_validate_deterministic(small_dataset):
 
 
 def test_cross_validate_report_json(small_dataset):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     lexical = FeatureSet.parse("lexical")
-    report = cross_validate(*xy(vectors, lexical), lexical, TrainConfig(n_trees=3, seed=1), k=5, seed=1)
+    report = cross_validate(*xy(examples, vectors, lexical), lexical, TrainConfig(n_trees=3, seed=1), k=5, seed=1)
     obj = json.loads(report.to_json())
     assert {"auc", "auc_at_fpr", "tpr_at_fpr", "folds", "config", "target_fpr"} <= set(obj)
     assert len(obj["folds"]) == 5
@@ -196,10 +195,10 @@ def test_cross_validate_report_json(small_dataset):
 def test_cross_validate_isolation(small_dataset):
     """Held-out rows never reach training: a fold's model must not change
     when the held-out rows' labels are flipped."""
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     cfg = TrainConfig(n_trees=3, seed=5)
     lexical = FeatureSet.parse("lexical")
-    X, y = xy(vectors, lexical)
+    X, y = xy(examples, vectors, lexical)
     folds = stratified_folds(y, 5, seed=7)
     in_train = np.ones(len(y), dtype=bool)
     in_train[folds[0]] = False

@@ -198,22 +198,21 @@ def test_train_trivially_separable_perfect(small_dataset):
         FeatureVector(
             lexical=vectors[i % 10].lexical,
             ext_score=0.8 if i % 2 else 0.2,
-            label=Label(i % 2),
         )
         for i in range(50)
     ]
+    labels = np.arange(50) % 2
     ext = FeatureSet.parse("ext-score")
-    model = train(*xy(trivial, ext), ext, TrainConfig(n_trees=5, seed=1))
+    model = train(design_matrix(trivial, ext), labels, ext, TrainConfig(n_trees=5, seed=1))
     scores = model.score_matrix(design_matrix(trivial, model.feature_set))
-    labels = np.array([int(v.label) for v in trivial])
     assert ((scores >= 0.5) == labels.astype(bool)).mean() == 1.0
 
 
 def test_train_deterministic_bytes(small_dataset):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     cfg = TrainConfig(n_trees=8, seed=3)
     fs = FeatureSet.parse("dns+lexical")
-    X, y = xy(vectors, fs)
+    X, y = xy(examples, vectors, fs)
     a = train(X, y, fs, cfg).to_json_bytes()
     b = train(X, y, fs, cfg).to_json_bytes()
     assert a == b
@@ -222,10 +221,10 @@ def test_train_deterministic_bytes(small_dataset):
 
 
 def test_train_thread_count_invariant(small_dataset):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     cfg = TrainConfig(n_trees=8, seed=3)
     fs = FeatureSet.parse("dns+lexical")
-    X, y = xy(vectors, fs)
+    X, y = xy(examples, vectors, fs)
     assert (
         train(X, y, fs, cfg, n_jobs=1).to_json_bytes()
         == train(X, y, fs, cfg, n_jobs=4).to_json_bytes()
@@ -233,17 +232,17 @@ def test_train_thread_count_invariant(small_dataset):
 
 
 def test_train_errors(small_dataset):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     with pytest.raises(EmptyDataError):
-        train(*xy([], LEXICAL), LEXICAL, TrainConfig())
-    only_benign = [v for v in vectors if v.label is Label.BENIGN]
+        train(*xy([], [], LEXICAL), LEXICAL, TrainConfig())
+    X, y = xy(examples, vectors, LEXICAL)
     with pytest.raises(SingleClassError):
-        train(*xy(only_benign, LEXICAL), LEXICAL, TrainConfig(n_trees=2))
+        train(X[y == Label.BENIGN], y[y == Label.BENIGN], LEXICAL, TrainConfig(n_trees=2))
 
 
 @pytest.mark.parametrize("defect", ["narrow", "wide", "short-labels", "long-labels", "flat"])
 def test_train_refuses_arrays_off_the_schema(small_dataset, defect):
-    X, y = xy(small_dataset[1][280:320], LEXICAL)
+    X, y = xy(small_dataset[0][280:320], small_dataset[1][280:320], LEXICAL)
     X, y = {
         "narrow": (X[:, :-1], y),
         "wide": (np.hstack([X, X[:, :1]]), y),
@@ -256,7 +255,7 @@ def test_train_refuses_arrays_off_the_schema(small_dataset, defect):
 
 
 def test_train_refuses_labels_other_than_0_and_1(small_dataset):
-    X, y = xy(small_dataset[1][280:320], LEXICAL)
+    X, y = xy(small_dataset[0][280:320], small_dataset[1][280:320], LEXICAL)
     with pytest.raises(ValueError):
         train(X, np.where(y == 1, 2, 0), LEXICAL, TrainConfig(n_trees=2))
 
@@ -367,8 +366,8 @@ def test_depth_one_tree_scores_by_side():
 
 
 def test_forest_score_is_tree_mean(small_dataset):
-    _, vectors, _ = small_dataset
-    model = train(*xy(vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=7, seed=2))
+    examples, vectors, _ = small_dataset
+    model = train(*xy(examples, vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=7, seed=2))
     X = design_matrix(vectors[:20], model.feature_set)
     per_tree = np.stack([t.predict(X) for t in model.trees])
     assert np.allclose(model.score_matrix(X), per_tree.mean(axis=0))
@@ -425,8 +424,8 @@ def test_score_with_a_tree_that_is_one_leaf(small_models, small_dataset):
 
 
 def test_depth_one_forest_sends_threshold_values_left(small_dataset):
-    _, vectors, _ = small_dataset
-    model = train(*xy(vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=6, seed=5, max_depth=1))
+    examples, vectors, _ = small_dataset
+    model = train(*xy(examples, vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=6, seed=5, max_depth=1))
     assert all(len(t.feature) in (1, 3) for t in model.trees)
     X = _probe_rows(model, vectors, 400, seed=2)
     assert np.array_equal(model.score_matrix(X), _oracle_scores(model, X))
@@ -446,12 +445,12 @@ def test_score_matrix_refuses_rows_of_another_width(small_models, small_dataset)
 
 
 def test_score_schema_mismatch(small_dataset):
-    _, vectors, _ = small_dataset
-    model = train(*xy(vectors, BOTH), BOTH, TrainConfig(n_trees=3, seed=1))
+    examples, vectors, _ = small_dataset
+    model = train(*xy(examples, vectors, BOTH), BOTH, TrainConfig(n_trees=3, seed=1))
     naked = FeatureVector(lexical=vectors[0].lexical)  # no sideinfo block
     with pytest.raises(SchemaMismatchError):
         model.score_matrix(design_matrix([naked], model.feature_set))
-    hybrid = train(*xy(vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=3, seed=1))
+    hybrid = train(*xy(examples, vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=3, seed=1))
     # lexical-only model is fine with it
     assert 0.0 <= hybrid.score_matrix(design_matrix([naked], hybrid.feature_set))[0] <= 1.0
 
@@ -465,36 +464,36 @@ def test_design_matrix_refuses_a_vector_without_the_lexical_block(small_dataset)
 
 
 def test_ext_score_schema(small_dataset):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     with_ext = [
-        FeatureVector(lexical=v.lexical, sideinfo=v.sideinfo, ext_score=float(int(v.label)), label=v.label)
-        for v in vectors
+        FeatureVector(lexical=v.lexical, sideinfo=v.sideinfo, ext_score=float(int(e.label)))
+        for e, v in zip(examples, vectors)
     ]
     hybrid = FeatureSet.parse("dns+lexical+ext-score")
-    model = train(*xy(with_ext, hybrid), hybrid, TrainConfig(n_trees=3, seed=9))
+    model = train(*xy(examples, with_ext, hybrid), hybrid, TrainConfig(n_trees=3, seed=9))
     assert model.schema[-1] == "ext_score"
     with pytest.raises(SchemaMismatchError):
         model.score_matrix(design_matrix(vectors[:1], model.feature_set))  # lacks ext_score
 
 
 def test_feature_subset_sizes(small_dataset):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     fs = FeatureSet.parse("dns+lexical")
     d = len(fs.feature_names())
-    model = train(*xy(vectors, fs), fs, TrainConfig(n_trees=6, seed=5))
+    model = train(*xy(examples, vectors, fs), fs, TrainConfig(n_trees=6, seed=5))
     expected = max(1, int(math.isqrt(d)))
     for tree in model.trees:
         assert len(tree.candidates) == expected
         assert all(0 <= c < d for c in tree.candidates)
-    full = train(*xy(vectors, fs), fs, TrainConfig(n_trees=2, seed=5, features_per_tree=d))
+    full = train(*xy(examples, vectors, fs), fs, TrainConfig(n_trees=2, seed=5, features_per_tree=d))
     assert all(len(t.candidates) == d for t in full.trees)
-    frac = train(*xy(vectors, fs), fs, TrainConfig(n_trees=2, seed=5, features_per_tree=0.5))
+    frac = train(*xy(examples, vectors, fs), fs, TrainConfig(n_trees=2, seed=5, features_per_tree=0.5))
     assert all(len(t.candidates) == max(1, int(0.5 * d)) for t in frac.trees)
 
 
 def test_tree_subsets_differ_across_trees(small_dataset):
-    _, vectors, _ = small_dataset
-    model = train(*xy(vectors, BOTH), BOTH, TrainConfig(n_trees=12, seed=0))
+    examples, vectors, _ = small_dataset
+    model = train(*xy(examples, vectors, BOTH), BOTH, TrainConfig(n_trees=12, seed=0))
     assert len({t.candidates for t in model.trees}) > 1
 
 
@@ -502,11 +501,10 @@ def test_monotone_rescaling_invariance(small_dataset):
     """Affine-positive rescaling of the matrix preserves predictions when
     the forest is retrained with the same seed (split structure depends
     only on value order)."""
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     fs = FeatureSet.parse("dns+lexical")
     cfg = TrainConfig(n_trees=6, seed=13)
-    X = design_matrix(vectors, fs)
-    y = np.array([int(v.label) for v in vectors])
+    X, y = xy(examples, vectors, fs)
 
     from dgadetect.forest import _build_one_tree
 
@@ -559,14 +557,13 @@ def test_calibrate_oracle_various_targets():
 
 
 def test_oob_fpr_within_target(small_dataset):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     cfg = TrainConfig(n_trees=25, seed=6, target_fpr=0.05)
-    model = train(*xy(vectors, DNS), DNS, cfg)
+    model = train(*xy(examples, vectors, DNS), DNS, cfg)
     # recompute the out-of-bag scores exactly as training saw them
     from dgadetect.forest import _build_one_tree
 
-    X = design_matrix(vectors, model.feature_set)
-    y = np.array([int(v.label) for v in vectors])
+    X, y = xy(examples, vectors, model.feature_set)
     k = cfg.resolve_subset_size(X.shape[1])
     oob_sum = np.zeros(len(y))
     oob_cnt = np.zeros(len(y))
@@ -588,8 +585,8 @@ def test_oob_fpr_within_target(small_dataset):
 
 
 def test_model_roundtrip_bytes_and_scores(small_dataset, tmp_path):
-    _, vectors, _ = small_dataset
-    model = train(*xy(vectors, BOTH), BOTH, TrainConfig(n_trees=5, seed=8))
+    examples, vectors, _ = small_dataset
+    model = train(*xy(examples, vectors, BOTH), BOTH, TrainConfig(n_trees=5, seed=8))
     raw = model.to_json_bytes()
     clone = ForestModel.from_json_bytes(raw)
     assert clone.to_json_bytes() == raw
@@ -606,16 +603,16 @@ def test_model_roundtrip_bytes_and_scores(small_dataset, tmp_path):
 
 
 def test_model_version_guard(small_dataset):
-    _, vectors, _ = small_dataset
-    model = train(*xy(vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=2, seed=1))
+    examples, vectors, _ = small_dataset
+    model = train(*xy(examples, vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=2, seed=1))
     raw = model.to_json_bytes().replace(b'"version":1', b'"version":99')
     with pytest.raises(ValueError):
         ForestModel.from_json_bytes(raw)
 
 
 def test_model_corruption_guards(small_dataset):
-    _, vectors, _ = small_dataset
-    model = train(*xy(vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=2, seed=1))
+    examples, vectors, _ = small_dataset
+    model = train(*xy(examples, vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=2, seed=1))
     import json as _json
 
     obj = _json.loads(model.to_json_bytes())
@@ -636,8 +633,8 @@ def _first_split(tree: dict) -> int:
     "prob-above-one", "ragged-arrays", "feature-overflows-int32",
 ])
 def test_model_tree_topology_validated(small_dataset, corrupt):
-    _, vectors, _ = small_dataset
-    model = train(*xy(vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=2, seed=1))
+    examples, vectors, _ = small_dataset
+    model = train(*xy(examples, vectors, LEXICAL), LEXICAL, TrainConfig(n_trees=2, seed=1))
     import json as _json
 
     obj = _json.loads(model.to_json_bytes())
@@ -663,8 +660,8 @@ def test_model_tree_topology_validated(small_dataset, corrupt):
 
 
 def test_model_country_codes_need_reserved_names(small_dataset):
-    _, vectors, _ = small_dataset
-    model = train(*xy(vectors, DNS), DNS, TrainConfig(n_trees=2, seed=1),
+    examples, vectors, _ = small_dataset
+    model = train(*xy(examples, vectors, DNS), DNS, TrainConfig(n_trees=2, seed=1),
                   country_codes=small_dataset[2])
     import json as _json
 
@@ -706,19 +703,18 @@ def test_feature_set_schemas():
 
 
 def test_all_six_configurations_trainable(small_dataset):
-    _, vectors, _ = small_dataset
+    examples, vectors, _ = small_dataset
     with_ext = [
         FeatureVector(
             lexical=v.lexical,
             sideinfo=v.sideinfo,
-            ext_score=0.9 if v.label is Label.DGA else 0.1,
-            label=v.label,
+            ext_score=0.9 if e.label is Label.DGA else 0.1,
         )
-        for v in vectors
+        for e, v in zip(examples, vectors)
     ]
     cfg = TrainConfig(n_trees=3, seed=2)
     for spec in ("dns", "lexical", "dns+lexical", "ext-score", "dns+ext-score", "dns+lexical+ext-score"):
         fs = FeatureSet.parse(spec)
-        model = train(*xy(with_ext, fs), fs, cfg)
+        model = train(*xy(examples, with_ext, fs), fs, cfg)
         assert model.feature_set.id == spec
         assert 0 <= model.score_matrix(design_matrix(with_ext[:1], model.feature_set))[0] <= 1

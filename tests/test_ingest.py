@@ -2,13 +2,15 @@ import io
 import json
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgadetect.core import DnsRecord, Label, ParsedDomain
+from dgadetect import ingest
+from dgadetect.core import DnsRecord, FeatureVector, Label, ParsedDomain, parse_domain
 from dgadetect.errors import SchemaMismatchError
-from dgadetect.forest import FeatureSet
+from dgadetect.forest import FeatureSet, design_matrix
 from dgadetect.ingest import (
     HEURISTIC_RULES,
     Blacklist,
@@ -26,7 +28,8 @@ from dgadetect.ingest import (
     write_labels_csv,
     write_pdns,
 )
-from dgadetect.sideinfo import build_country_codes, observed_countries
+from dgadetect.lexical import extract_lexical
+from dgadetect.sideinfo import build_country_codes, extract_sideinfo, observed_countries
 
 
 # --- benign filter -------------------------------------------------------
@@ -182,6 +185,31 @@ def test_read_pdns_skips_lines_json_cannot_load():
     assert (stats.lines, stats.parsed, stats.skipped) == (4, 2, 2)
 
 
+def test_read_pdns_skips_fields_out_of_range(suffix_db, geo):
+    """A TTL over 2**31 - 1 (RFC 2181) or a type, qtype or class outside
+    0-65535 (RFC 1035) is a malformed line; the records around it are
+    still read and scored."""
+    line = '{"name":"%s","ttl":%d,"type":%d,"qtype":%d,"class":%d,"data":["1.1.1.1"]}'
+    lines = [
+        line % ("a.com", 2**31 - 1, 65535, 65535, 65535),
+        '{"name":"huge.com","ttl":' + "9" * 400 + ',"type":1,"class":1,"data":["1.1.1.1"]}',
+        line % ("ttl.com", 2**31, 1, 1, 1),
+        line % ("type.com", 1, 65536, 1, 1),
+        line % ("qtype.com", 1, 1, 65536, 1),
+        line % ("class.com", 1, 1, 1, 65536),
+        line % ("negative.com", 1, -1, 1, 1),
+        line % ("b.com", 0, 0, 0, 0),
+    ]
+    stats = ParseStats()
+    pairs = list(read_domains(lines, suffix_db, stats))
+    assert [r.name for r, _ in pairs] == ["a.com", "b.com"]
+    assert (stats.lines, stats.parsed, stats.skipped) == (8, 2, 6)
+    fs = FeatureSet.parse("dns+lexical")
+    build = record_vectorizer(fs, geo, build_country_codes([]))
+    X = design_matrix([build(r, p) for r, p in pairs], fs)
+    assert X.shape == (2, len(fs.feature_names())) and np.isfinite(X).all()
+
+
 def test_read_domains_counts_unparseable_names(suffix_db):
     lines = [
         '{"name":"www.Example.com","ttl":1,"type":1,"class":1,"data":["1.1.1.1"]}',
@@ -197,10 +225,12 @@ def test_read_domains_counts_unparseable_names(suffix_db):
 
 # --- the counted-skip boundary, fuzzed --------------------------------------
 
-_HUGE = "\x00huge"  # stands for an integer of more digits than json.loads converts
+# stand for integers json.loads refuses (over 4,300 digits) and reads
+# (no float holds 400 digits)
+_HUGE, _BIG = "\x00huge", "\x00big"
 _odd = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8), st.just(_HUGE),
-    st.lists(st.integers(), max_size=2),
+    st.just(_BIG), st.integers(2**31 - 2, 2**31 + 1), st.lists(st.integers(), max_size=2),
 )
 _addresses = st.one_of(
     st.sampled_from(["1.2.3.4", "2001:db8::1", "fe80::1%eth0"]),
@@ -222,7 +252,8 @@ _records = st.builds(
 
 
 def _json_line(obj, as_bytes: bool):
-    line = json.dumps(obj, ensure_ascii=False).replace(json.dumps(_HUGE), "9" * 5000)
+    line = json.dumps(obj, ensure_ascii=False)
+    line = line.replace(json.dumps(_HUGE), "9" * 5000).replace(json.dumps(_BIG), "9" * 400)
     return line.encode("utf-8") if as_bytes else line
 
 
@@ -241,6 +272,33 @@ def test_read_domains_never_raises_and_counts_every_line(suffix_db, lines):
     pairs = list(read_domains(lines, suffix_db, stats))
     assert stats.lines == len(lines) == stats.parsed + stats.skipped
     assert len(pairs) == stats.parsed - stats.unparseable_names
+
+
+# well-formed records whose integers sit at and past the field limits
+_limits = st.sampled_from([0, 1, 65535, 65536, 2**31 - 1, 2**31, 2**64, -1, _BIG]) | st.integers()
+_edge_records = st.fixed_dictionaries(
+    {
+        "name": st.sampled_from(["example.com", "www.Example.co.uk.", "a-.biz"]),
+        "ttl": _limits,
+        "type": _limits,
+        "class": _limits,
+        "data": st.lists(st.sampled_from(["13.32.0.1", "95.142.192.1", "2001:db8::1", "fe80::1%eth0"]),
+                         min_size=1, max_size=3),
+    },
+    optional={"qtype": _limits},
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lines=st.lists(_lines | st.builds(_json_line, _edge_records, st.booleans()), max_size=8))
+def test_accepted_lines_give_finite_rows(suffix_db, geo, lines):
+    """Whatever read_domains yields, featurizes to finite float64 rows."""
+    fs = FeatureSet.parse("dns+lexical")
+    build = record_vectorizer(fs, geo, build_country_codes(["US", "DE"]))
+    pairs = list(read_domains(lines, suffix_db, ParseStats()))
+    X = design_matrix([build(r, p) for r, p in pairs], fs)
+    assert X.dtype == np.float64 and X.shape == (len(pairs), len(fs.feature_names()))
+    assert np.isfinite(X).all()
 
 
 class _Reads:
@@ -360,20 +418,21 @@ def test_vectorize_blocks_and_labels(geo):
     examples = synth_dataset(9, 9, seed=13)
     codes = build_country_codes(observed_countries((e.record for e in examples), geo))
     build = record_vectorizer(FeatureSet.parse("dns+lexical"), geo, codes)
-    vectors = [build(e.record, e.parsed, e.label) for e in examples]
+    vectors = [build(e.record, e.parsed) for e in examples]
     assert len(vectors) == 18
     assert all(v.sideinfo is not None for v in vectors)
-    assert [int(v.label) for v in vectors] == [int(e.label) for e in examples]
+    # labels stay with the examples: a vector is features only
+    assert not any(hasattr(v, "label") for v in vectors)
 
 
 def test_record_vectorizer_blocks_follow_feature_set(geo):
     ex = synth_dataset(1, 1, seed=13)[0]
     codes = build_country_codes([])
     lexical = record_vectorizer(FeatureSet.parse("lexical"), None, None)(ex.record, ex.parsed)
-    assert lexical.sideinfo is None and lexical.ext_score is None and lexical.label is None
+    assert lexical.sideinfo is None and lexical.ext_score is None
     build = record_vectorizer(FeatureSet.parse("dns+lexical"), geo, codes)
-    both = build(ex.record, ex.parsed, ex.label)
-    assert both.sideinfo is not None and both.label is ex.label
+    both = build(ex.record, ex.parsed)
+    assert both.sideinfo is not None
 
 
 def test_record_vectorizer_refuses_missing_tables(geo):
@@ -393,6 +452,91 @@ def test_vectorize_ext_scores_strict(geo):
     scores.popitem()
     with pytest.raises(SchemaMismatchError):
         [build(e.record, e.parsed) for e in examples]
+
+
+# --- the per-run featurization memos -----------------------------------------
+
+# One name in three spellings, reordered and duplicated answers, IPv6,
+# and (through the ttl draw) one answer set under two TTLs.
+_POOL_NAMES = ("www.Example.com", "example.com.", "EXAMPLE.COM", "kq3vz9x1wpt.biz", "shop.co.uk", "a-b.net")
+_POOL_DATA = (
+    ("13.32.0.1",),
+    ("13.32.0.1", "95.142.192.1"),
+    ("95.142.192.1", "13.32.0.1"),
+    ("13.32.0.1", "13.32.0.1"),
+    ("2001:db8::1", "2606:4700::1"),
+    ("198.51.100.7",),
+)
+_ALL_FEATURE_SETS = ("dns", "lexical", "dns+lexical", "ext-score", "dns+ext-score", "dns+lexical+ext-score")
+
+
+def _pool_records(draws):
+    return [DnsRecord(name=_POOL_NAMES[n], ttl=ttl, qtype=28 if d == 4 else 1, rtype=28 if d == 4 else 1,
+                      rclass=1, data=_POOL_DATA[d]) for n, d, ttl in draws]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(draws=st.lists(st.tuples(st.integers(0, len(_POOL_NAMES) - 1), st.integers(0, len(_POOL_DATA) - 1),
+                                st.sampled_from([60, 3600])), max_size=25))
+def test_memoised_rows_equal_fresh_extraction(suffix_db, geo, draws):
+    records = _pool_records(draws)
+    parsed = [parse_domain(r.name, suffix_db) for r in records]
+    codes = build_country_codes(observed_countries(records, geo))
+    scores = {p.fqdn: (len(p.sld) % 10) / 10 for p in parsed}
+    for spec in _ALL_FEATURE_SETS:
+        fs = FeatureSet.parse(spec)
+        build = record_vectorizer(fs, geo, codes, scores)
+        memoised = design_matrix([build(r, p) for r, p in zip(records, parsed)], fs)
+        fresh = design_matrix([
+            FeatureVector(
+                lexical=extract_lexical(p) if fs.lexical else None,
+                sideinfo=extract_sideinfo(r, geo, codes) if fs.dns else None,
+                ext_score=scores[p.fqdn] if fs.ext else None,
+            )
+            for r, p in zip(records, parsed)
+        ], fs)
+        assert np.array_equal(memoised, fresh)
+
+
+def test_memo_extracts_each_name_and_answer_set_once(suffix_db, geo, monkeypatch):
+    calls = {"lexical": 0, "addresses": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ingest, "extract_lexical", counted("lexical", ingest.extract_lexical))
+    monkeypatch.setattr(ingest, "address_features", counted("addresses", ingest.address_features))
+    records = _pool_records([(0, 0, 60), (1, 0, 3600), (2, 0, 60), (0, 1, 60), (3, 2, 60), (3, 1, 60)])
+    build = record_vectorizer(FeatureSet.parse("dns+lexical"), geo, build_country_codes([]))
+    vectors = [build(r, parse_domain(r.name, suffix_db)) for r in records]
+    # three spellings of example.com, then kq3vz9x1wpt.biz; three answer sets
+    assert calls == {"lexical": 2, "addresses": 3}
+    assert [m.cache_info().maxsize for m in build.memos] == [ingest.MEMO_SIZE] * 2
+    assert vectors[0].lexical is vectors[2].lexical
+    assert (vectors[0].sideinfo.ttl, vectors[1].sideinfo.ttl) == (60, 3600)
+    assert vectors[3].sideinfo.rrlength == vectors[4].sideinfo.rrlength == 20
+    # a new run starts empty
+    record_vectorizer(FeatureSet.parse("lexical"), None, None)(records[0], parse_domain(records[0].name, suffix_db))
+    assert calls["lexical"] == 3
+
+
+def test_memo_stays_at_its_capacity(suffix_db, geo, monkeypatch):
+    monkeypatch.setattr(ingest, "MEMO_SIZE", 4)
+    build = record_vectorizer(FeatureSet.parse("dns+lexical"), geo, build_country_codes([]))
+    records = [DnsRecord(name=f"name{i}.com", ttl=60, qtype=1, rtype=1, rclass=1, data=(f"13.32.0.{i}",))
+               for i in range(10)]
+    first = build(records[0], parse_domain(records[0].name, suffix_db))
+    for r in records[1:]:
+        build(r, parse_domain(r.name, suffix_db))
+    for memo in build.memos:
+        info = memo.cache_info()
+        assert info.maxsize == info.currsize == 4 and info.misses == 10
+    # an evicted entry is extracted again, to the same row
+    again = build(records[0], parse_domain(records[0].name, suffix_db))
+    assert again == first and again.lexical is not first.lexical
 
 
 def test_labels_csv_roundtrip(geo, tmp_path):
