@@ -42,7 +42,7 @@ def _sha256(path) -> str:
 
 def _write_manifest(out_path: Path, command: str, args: argparse.Namespace,
                     inputs: list[Path], outputs: list[Path], started: float,
-                    stats: dict | None = None) -> Path:
+                    stats: dict | None = None, workers: int | None = None) -> Path:
     flags = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "command": command,
@@ -53,6 +53,8 @@ def _write_manifest(out_path: Path, command: str, args: argparse.Namespace,
         "stats": stats or {},
         "elapsed_s": round(time.time() - started, 3),
     }
+    if workers is not None:  # the processes that grew each forest's trees
+        manifest["workers"] = workers
     path = Path(str(out_path) + ".manifest.json")
     tmp = path.with_suffix(".tmp")
     tmp.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -157,7 +159,8 @@ def cmd_train(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     model.save(out)
     _write_manifest(out, "train", args, [Path(args.data), _labels_path(args)],
-                    [out], started, stats=parse_stats)
+                    [out], started, stats=parse_stats,
+                    workers=forest.worker_count(None, cfg.n_trees))
     print(f"trained {feature_set.id} model ({cfg.n_trees} trees), threshold "
           f"{model.threshold:.6f}, saved to {out}", file=sys.stderr)
     return 0
@@ -235,7 +238,7 @@ def cmd_evaluate(args) -> int:
             for fpr, tpr in fold.roc.points:
                 writer.writerow([fold.fold, repr(fpr), repr(tpr)])
     _write_manifest(out, "evaluate", args, [Path(args.data)], [report_path, roc_path], started,
-                    stats=parse_stats)
+                    stats=parse_stats, workers=forest.worker_count(None, cfg.n_trees))
     print(f"{feature_set.id}: auc={report.auc:.4f} auc@fpr={report.auc_at_fpr:.4f} "
           f"tpr@fpr={report.tpr_at_fpr:.4f}", file=sys.stderr)
     return 0

@@ -23,10 +23,11 @@ if TYPE_CHECKING:
     from .lexical import LexicalFeatures
     from .sideinfo import SideInfoFeatures
 
-# Valid DNS character set, applied after lowercasing.  Anything else is a
-# validation error rather than silently stripped.
-_DOMAIN_RE = re.compile(r"^[a-z0-9.\-]+$")
-_SLD_RE = re.compile(r"^[a-z0-9\-]+$")
+# Valid DNS character set, applied after lowercasing to the whole string
+# with fullmatch (a "$" would also pass a trailing newline).  Anything
+# else is a validation error rather than silently stripped.
+_DOMAIN_RE = re.compile(r"[a-z0-9.\-]+")
+_SLD_RE = re.compile(r"[a-z0-9\-]+")
 
 
 class Label(IntEnum):
@@ -77,9 +78,9 @@ class ParsedDomain:
     original: str = ""
 
     def __post_init__(self):
-        if not self.sld or not _SLD_RE.match(self.sld):
+        if not self.sld or not _SLD_RE.fullmatch(self.sld):
             raise ValueError(f"invalid SLD: {self.sld!r}")
-        if not self.tld or not _DOMAIN_RE.match(self.tld):
+        if not self.tld or not _DOMAIN_RE.fullmatch(self.tld):
             raise ValueError(f"invalid TLD: {self.tld!r}")
         if not self.original:
             object.__setattr__(self, "original", self.fqdn)
@@ -169,7 +170,7 @@ def parse_domain(raw: str, suffix_db: SuffixDb) -> ParsedDomain:
     name = raw.lower()
     if name.endswith(".") and len(name) > 1:
         name = name[:-1]
-    if not _DOMAIN_RE.match(name):
+    if not _DOMAIN_RE.fullmatch(name):
         raise InvalidDomainError(f"invalid characters in domain name: {raw!r}")
     suffix = suffix_db.longest_match(name)
     if suffix is None:

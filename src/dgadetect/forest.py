@@ -7,8 +7,8 @@ how all published model configurations are realized by one trainer.
 
 Determinism contract: every tree derives its randomness from
 (config seed, tree index) alone, so identical data + config + seed yield
-byte-identical serialized models regardless of scheduling or thread
-count.
+byte-identical serialized models regardless of scheduling or of the
+number of worker processes that grow the trees.
 
 Scoring contract: a row's score is the mean of its trees' leaf
 probabilities added in tree order, so it is the same whether the row is
@@ -21,14 +21,17 @@ partitioned stably by node after each level, and every cut of every
 node of a level is scored in one pass.  Thresholds are exact midpoints
 between consecutive distinct values, with no binning, and nodes are
 numbered as a node-by-node depth-first grower numbers them, so models
-keep the bytes that grower wrote.
+keep the bytes that grower wrote.  A forest's trees grow in forked
+worker processes, one per CPU (see :func:`train`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, field
 from itertools import chain
 from typing import Sequence
@@ -740,6 +743,89 @@ def _build_one_tree(
     return tree, in_bag
 
 
+def worker_count(n_jobs: int | None, n_trees: int) -> int:
+    """Processes that grow a forest of ``n_trees``: ``n_jobs``, by default
+    (None) one per CPU this process may run on, never more than the trees.
+    Where ``os.fork`` is missing it is 1: growth in the calling process."""
+    if not hasattr(os, "fork"):
+        return 1
+    if n_jobs is None:
+        has_affinity = hasattr(os, "sched_getaffinity")
+        n_jobs = len(os.sched_getaffinity(0)) if has_affinity else os.cpu_count()
+    return max(1, min(n_jobs or 1, n_trees))
+
+
+def _grow_and_send(
+    fd: int, X: np.ndarray, y: np.ndarray, cfg: TrainConfig, k: int, tree_indices: range
+) -> None:
+    """Body of a forked worker: grow the given trees, pickle the list of
+    (tree, in-bag mask) pairs, or the exception that stopped them, into
+    ``fd`` and leave with os._exit, so that nothing inherited from the
+    parent (atexit handlers, buffered output) runs twice."""
+    code = 1
+    try:
+        try:
+            payload = [_build_one_tree(X, y, cfg, k, t) for t in tree_indices]
+        except BaseException as exc:
+            payload = exc
+        with os.fdopen(fd, "wb") as pipe:
+            pickle.dump(payload, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0 if isinstance(payload, list) else 1
+    finally:
+        os._exit(code)
+
+
+def _grow_in_workers(
+    X: np.ndarray, y: np.ndarray, cfg: TrainConfig, k: int, n_workers: int
+) -> list[tuple[Tree, np.ndarray]]:
+    """Grow the trees in ``n_workers`` forked processes and return
+    ``_build_one_tree``'s pairs in tree order.
+
+    Worker w grows trees w, w + n_workers, ... from the X and y it
+    inherits copy-on-write and pickles them into its own pipe.  The pipes
+    are read in turn, one worker after the other, and every worker is
+    reaped before this returns or raises.  A worker's exception is raised
+    again here; a worker that ends without sending its trees (killed, for
+    one) raises ChildProcessError, and the other workers are killed.
+    """
+    built: list = [None] * cfg.n_trees
+    pending = {}  # pid -> the read end of its pipe, until the worker is reaped
+    try:
+        for w in range(n_workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                _grow_and_send(write_fd, X, y, cfg, k, range(w, cfg.n_trees, n_workers))
+            os.close(write_fd)
+            pending[pid] = os.fdopen(read_fd, "rb")
+        for w, pid in enumerate(list(pending)):
+            with pending[pid] as pipe:
+                try:
+                    payload = pickle.load(pipe)
+                except Exception:  # a torn pickle; the exit status says why
+                    payload = None
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pending[pid]
+            if isinstance(payload, BaseException):
+                raise payload
+            if code != 0 or not isinstance(payload, list):
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise ChildProcessError(f"training worker {w} {how} without sending its trees")
+            built[w::n_workers] = payload
+    finally:
+        for pid, pipe in pending.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return built
+
+
 def train(
     X: np.ndarray,
     y: np.ndarray,
@@ -747,7 +833,7 @@ def train(
     cfg: TrainConfig = TrainConfig(),
     *,
     country_codes: CountryCodes | None = None,
-    n_jobs: int = 1,
+    n_jobs: int | None = None,
 ) -> ForestModel:
     """Train and threshold-calibrate a forest on a schema-ordered matrix
     (see :func:`design_matrix`) and its 0/1 labels.
@@ -757,9 +843,17 @@ def train(
     comes from out-of-bag scores when bootstrap sampling leaves any rows
     out; otherwise training scores are used.
 
+    The trees grow in ``n_jobs`` forked worker processes; None means one
+    per CPU this process may run on (``os.sched_getaffinity``), and the
+    count never exceeds ``cfg.n_trees``.  At 1, or where ``os.fork`` is
+    missing, they grow in this process.  The model bytes are the same for
+    every count.
+
     Raises SchemaMismatchError unless X has the feature set's columns and
     one label per row, EmptyDataError on zero rows and SingleClassError
-    when only one class is present.
+    when only one class is present.  An exception raised while growing a
+    tree in a worker is raised here; a worker that dies without sending
+    its trees raises ChildProcessError.
     """
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -774,11 +868,9 @@ def train(
         raise SingleClassError("training data must contain both classes")
     k = cfg.resolve_subset_size(X.shape[1])
 
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            built = list(
-                pool.map(lambda t: _build_one_tree(X, y, cfg, k, t), range(cfg.n_trees))
-            )
+    n_workers = worker_count(n_jobs, cfg.n_trees)
+    if n_workers > 1:
+        built = _grow_in_workers(X, y, cfg, k, n_workers)
     else:
         built = [_build_one_tree(X, y, cfg, k, t) for t in range(cfg.n_trees)]
 

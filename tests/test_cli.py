@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import dgadetect
+from dgadetect import forest
 from dgadetect.cli import main
 from dgadetect.errors import LabelsFormatError, ModelFormatError, SchemaMismatchError
 from dgadetect.forest import ForestModel
@@ -191,6 +192,8 @@ def test_evaluate_reports(workspace, tmp_path):
     roc_lines = (tmp_path / "eval.roc.csv").read_text().splitlines()
     assert roc_lines[0] == "fold,fpr,tpr"
     assert len(roc_lines) > 4
+    manifest = json.loads((tmp_path / "eval.manifest.json").read_text())
+    assert manifest["workers"] == forest.worker_count(None, forest.TrainConfig().n_trees)
 
 
 def test_audit_counts(workspace, tmp_path):
@@ -225,6 +228,7 @@ def test_manifest_digests_recomputable(workspace):
         assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
     assert manifest["stats"]["parsed"] == 240
     assert manifest["stats"]["skipped"] == 0
+    assert manifest["workers"] == forest.worker_count(None, forest.TrainConfig().n_trees)
 
 
 def test_config_dir_env_var(workspace, tmp_path, monkeypatch):

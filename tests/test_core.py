@@ -45,6 +45,21 @@ def test_invalid_characters_rejected(suffix_db):
             parse_domain(bad, suffix_db)
 
 
+@pytest.mark.parametrize("raw", ["a.com\n", "A.COM\n", "a.com.\n"])
+def test_trailing_newline_is_an_invalid_character(suffix_db, raw):
+    # the character check, not the suffix lookup, refuses the name
+    with pytest.raises(InvalidDomainError) as info:
+        parse_domain(raw, suffix_db)
+    assert type(info.value) is InvalidDomainError
+
+
+def test_parsed_domain_refuses_a_trailing_newline():
+    with pytest.raises(ValueError, match="invalid SLD"):
+        ParsedDomain(sld="abc\n", tld="com")
+    with pytest.raises(ValueError, match="invalid TLD"):
+        ParsedDomain(sld="abc", tld="com\n")
+
+
 def test_trailing_dot_stripped(suffix_db):
     assert parse_domain("example.com.", suffix_db).fqdn == "example.com"
 

@@ -1,12 +1,15 @@
 import itertools
 import json
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgadetect import forest
 from dgadetect.core import FeatureVector, Label
 from dgadetect.errors import (
     EmptyDataError,
@@ -24,6 +27,7 @@ from dgadetect.forest import (
     design_matrix,
     entropy,
     train,
+    worker_count,
 )
 from dgadetect.lexical import LEXICAL_FEATURES
 from dgadetect.sideinfo import SIDEINFO_FEATURES
@@ -221,14 +225,70 @@ def test_train_deterministic_bytes(small_dataset):
 
 
 def test_train_thread_count_invariant(small_dataset):
+    # 3 workers do not divide 8 trees; None is one worker per CPU
     examples, vectors, _ = small_dataset
-    cfg = TrainConfig(n_trees=8, seed=3)
     fs = FeatureSet.parse("dns+lexical")
     X, y = xy(examples, vectors, fs)
-    assert (
-        train(X, y, fs, cfg, n_jobs=1).to_json_bytes()
-        == train(X, y, fs, cfg, n_jobs=4).to_json_bytes()
-    )
+    for cfg in (TrainConfig(n_trees=8, seed=3), TrainConfig(n_trees=8, seed=3, bootstrap=False)):
+        serial = train(X, y, fs, cfg, n_jobs=1).to_json_bytes()
+        for n_jobs in (2, 3, None):
+            assert train(X, y, fs, cfg, n_jobs=n_jobs).to_json_bytes() == serial, (cfg, n_jobs)
+
+
+def test_worker_count(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    assert worker_count(None, 100) == min(cpus, 100)
+    assert worker_count(None, 1) == 1
+    assert worker_count(3, 2) == 2
+    assert worker_count(1, 100) == 1
+    monkeypatch.delattr(os, "fork")
+    assert worker_count(4, 100) == 1
+
+
+class TreeFailure(Exception):
+    pass
+
+
+def _failing_at(monkeypatch, bad_tree, fail):
+    """Make growing tree ``bad_tree`` call ``fail``, in a worker only."""
+    parent, build = os.getpid(), forest._build_one_tree
+
+    def build_or_fail(X, y, cfg, k, t):
+        if t == bad_tree and os.getpid() != parent:
+            fail()
+        return build(X, y, cfg, k, t)
+
+    monkeypatch.setattr(forest, "_build_one_tree", build_or_fail)
+
+
+def _assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _raise_tree_failure():
+    raise TreeFailure("tree failed")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="trees grow in forked workers")
+@pytest.mark.parametrize("bad_tree", [0, 5])  # worker 0 (worker 1 still running), worker 1
+def test_worker_exception_is_raised_in_parent(small_dataset, monkeypatch, bad_tree):
+    examples, vectors, _ = small_dataset
+    X, y = xy(examples, vectors, LEXICAL)
+    _failing_at(monkeypatch, bad_tree, _raise_tree_failure)
+    with pytest.raises(TreeFailure, match="tree failed"):
+        train(X, y, LEXICAL, TrainConfig(n_trees=8, seed=1), n_jobs=2)
+    _assert_no_worker_left()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="trees grow in forked workers")
+def test_killed_worker_fails_training(small_dataset, monkeypatch):
+    examples, vectors, _ = small_dataset
+    X, y = xy(examples, vectors, LEXICAL)
+    _failing_at(monkeypatch, 3, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with pytest.raises(ChildProcessError, match="signal 9"):
+        train(X, y, LEXICAL, TrainConfig(n_trees=8, seed=1), n_jobs=2)
+    _assert_no_worker_left()
 
 
 def test_train_errors(small_dataset):
