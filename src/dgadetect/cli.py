@@ -166,21 +166,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_verdicts(dst, model: forest.ForestModel, names: list[str], vectors: list) -> None:
-    """Score a batch of vectors and write their verdict lines, then flush
-    so that inline callers see them at once."""
-    if not vectors:
-        return
-    scores = model.score_matrix(forest.design_matrix(vectors, model.feature_set)).tolist()
-    dst.write("".join(
-        json.dumps({
-            "domain": name,
-            "score": score,
-            "verdict": "dga" if score >= model.threshold else "benign",
-        }, separators=(",", ":")) + "\n"
-        for name, score in zip(names, scores)
-    ))
-    dst.flush()
+def _scored_chunks(src, model: forest.ForestModel, suffixes, build, stats: ingest.ParseStats):
+    """The one read -> featurize -> score loop of classify and audit: one
+    ``(names, scores)`` batch per read of a pDNS byte stream, hundreds of
+    records from a file, each record as it arrives from a live pipe.  A
+    record that cannot be vectorized raises after the batch before it."""
+    for lines in ingest.read_line_chunks(src):
+        names, vectors = [], []
+        try:
+            for record, parsed in ingest.read_domains(lines, suffixes, stats):
+                vectors.append(build(record, parsed))
+                names.append(parsed.fqdn)
+        finally:
+            if vectors:
+                yield names, model.score_matrix(
+                    forest.design_matrix(vectors, model.feature_set)).tolist()
 
 
 def cmd_classify(args) -> int:
@@ -193,18 +193,16 @@ def cmd_classify(args) -> int:
     dst = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     stats = ingest.ParseStats()
     try:
-        # Score what each read returned as one batch: a file gives hundreds
-        # of records a read, a live pipe each record as it arrives.
-        for lines in ingest.read_line_chunks(src):
-            names, vectors = [], []
-            try:
-                for record, parsed in ingest.read_domains(lines, suffixes, stats):
-                    vectors.append(build(record, parsed))
-                    names.append(parsed.fqdn)
-            finally:
-                # a record that cannot be vectorized still leaves the
-                # verdicts of the records before it
-                _write_verdicts(dst, model, names, vectors)
+        for names, scores in _scored_chunks(src, model, suffixes, build, stats):
+            dst.write("".join(
+                json.dumps({
+                    "domain": name,
+                    "score": score,
+                    "verdict": "dga" if score >= model.threshold else "benign",
+                }, separators=(",", ":")) + "\n"
+                for name, score in zip(names, scores)
+            ))
+            dst.flush()  # so that inline callers see each batch at once
     finally:
         if args.data:
             src.close()
@@ -253,13 +251,13 @@ def cmd_audit(args) -> int:
     whitelist = _data_file(args, "whitelist")
 
     stats = ingest.ParseStats()
-    domains, vectors = [], []
     with open(args.data, "rb") as fp:
-        for record, parsed in ingest.read_domains(fp, suffixes, stats):
-            domains.append(parsed)
-            vectors.append(build(record, parsed))
-    scores = model.score_matrix(forest.design_matrix(vectors, model.feature_set))
-    report = evaluation.audit(domains, scores >= model.threshold, blacklist, whitelist)
+        report = evaluation.audit(
+            ((name, score >= model.threshold)
+             for names, scores in _scored_chunks(fp, model, suffixes, build, stats)
+             for name, score in zip(names, scores)),
+            blacklist, whitelist,
+        )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(report.to_json() + "\n", encoding="utf-8")
@@ -309,12 +307,32 @@ def cmd_attack(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``, so that an
+    out-of-range value is a usage error (exit 2) that names its flag."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {value}")
+        return value
+    return integer
+
+
+def _rate(text: str) -> float:
+    """An argparse type: a false-positive rate in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1], not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dgadetect",
         description="Inline DGA detection: synth, train, classify, evaluate, audit, attack.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    count, seed = _int_at_least(1), _int_at_least(0)
 
     def add_common(p, *, geoip=True, suffixes=True):
         if suffixes:
@@ -323,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--geoip", help="GeoIP fixture CSV (default: bundled)")
 
     p = sub.add_parser("synth", help="generate a labeled synthetic dataset")
-    p.add_argument("--n-benign", type=int, default=1000)
-    p.add_argument("--n-dga", type=int, default=1000)
+    p.add_argument("--n-benign", type=count, default=1000)
+    p.add_argument("--n-dga", type=count, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output path stem")
     p.set_defaults(func=cmd_synth)
@@ -335,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default="dns+lexical",
                    help="dns | lexical | dns+lexical, optionally +ext-score")
     p.add_argument("--scores", help="external score sidecar CSV (domain,score)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target-fpr", type=float, default=0.001)
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--target-fpr", type=_rate, default=0.001)
     p.add_argument("--out", required=True, help="model file")
     add_common(p)
     p.set_defaults(func=cmd_train)
@@ -354,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels")
     p.add_argument("--features", default="dns+lexical")
     p.add_argument("--scores")
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--target-fpr", type=float, default=0.001)
+    p.add_argument("--folds", type=_int_at_least(2), default=5)
+    p.add_argument("--seed", type=seed, default=0)
+    p.add_argument("--target-fpr", type=_rate, default=0.001)
     p.add_argument("--out", required=True, help="report path stem")
     add_common(p)
     p.set_defaults(func=cmd_evaluate)
@@ -375,9 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True, help="labeled pDNS data for seed + donor pools")
     p.add_argument("--labels")
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--n-domains", type=int, default=1000)
-    p.add_argument("--mutations", type=int, default=2)
+    p.add_argument("--trials", type=count, default=5)
+    p.add_argument("--n-domains", type=count, default=1000)
+    p.add_argument("--mutations", type=count, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--flagged-out", help="optional CSV of per-trial flagged domains")

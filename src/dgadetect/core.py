@@ -68,22 +68,19 @@ class ParsedDomain:
     """Validated, lowercased SLD + TLD decomposition of a domain name.
 
     ``tld`` is the longest matching public suffix and may itself contain
-    dots ("co.uk").  ``original`` preserves the raw input string.
+    dots ("co.uk").
     Constructing the type directly trusts the caller that ``tld`` is a
     real public suffix; use :func:`parse_domain` to enforce that.
     """
 
     sld: str
     tld: str
-    original: str = ""
 
     def __post_init__(self):
         if not self.sld or not _SLD_RE.fullmatch(self.sld):
             raise ValueError(f"invalid SLD: {self.sld!r}")
         if not self.tld or not _DOMAIN_RE.fullmatch(self.tld):
             raise ValueError(f"invalid TLD: {self.tld!r}")
-        if not self.original:
-            object.__setattr__(self, "original", self.fqdn)
 
     @property
     def fqdn(self) -> str:
@@ -181,4 +178,4 @@ def parse_domain(raw: str, suffix_db: SuffixDb) -> ParsedDomain:
     sld = head.split(".")[-1]
     if not sld:
         raise EmptySldError(f"empty label left of the public suffix in {raw!r}")
-    return ParsedDomain(sld=sld, tld=suffix, original=raw)
+    return ParsedDomain(sld=sld, tld=suffix)

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Container, Sequence
+from typing import Container, Iterable, Sequence
 
 import numpy as np
 
-from .core import ParsedDomain
 from .errors import SingleClassError, TooFewExamplesError
 from .forest import FeatureSet, TrainConfig, train
 
@@ -239,37 +238,35 @@ class AuditReport:
         )
 
 
+def _counts(names: Iterable[tuple[str, int, int]], blacklist: Container[str],
+            whitelist: Container[str]) -> AuditCounts:
+    """The counts over ``(fqdn, records, flagged records)`` rows."""
+    total = flagged = flagged_b = flagged_w = b_and_w = 0
+    for fqdn, n, n_flagged in names:
+        in_b = fqdn in blacklist
+        in_w = fqdn in whitelist
+        total += n
+        flagged += n_flagged
+        flagged_b += n_flagged * in_b
+        flagged_w += n_flagged * in_w
+        b_and_w += n * (in_b and in_w)
+    return AuditCounts(total, flagged, flagged_b, flagged_w, b_and_w)
+
+
 def audit(
-    domains: Sequence[ParsedDomain],
-    flags: Sequence[bool],
+    verdicts: Iterable[tuple[str, bool]],
     blacklist: Container[str],
     whitelist: Container[str],
 ) -> AuditReport:
-    """Count a traffic stream's classifier flags, one per domain, against
-    the blacklist and whitelist."""
-    raw_total = raw_flagged = raw_fb = raw_fw = raw_bw = 0
-    dedup_flagged: dict[str, bool] = {}
-    dedup_lists: dict[str, tuple[bool, bool]] = {}
-
-    for domain, flag in zip(domains, flags):
-        fqdn = domain.fqdn
-        flagged = bool(flag)
-        in_b = fqdn in blacklist
-        in_w = fqdn in whitelist
-        raw_total += 1
-        raw_flagged += flagged
-        raw_fb += flagged and in_b
-        raw_fw += flagged and in_w
-        raw_bw += in_b and in_w
-        dedup_flagged[fqdn] = dedup_flagged.get(fqdn, False) or flagged
-        dedup_lists[fqdn] = (in_b, in_w)
-
-    dd_flagged = sum(dedup_flagged.values())
-    dd_fb = sum(1 for d, f in dedup_flagged.items() if f and dedup_lists[d][0])
-    dd_fw = sum(1 for d, f in dedup_flagged.items() if f and dedup_lists[d][1])
-    dd_bw = sum(1 for b, w in dedup_lists.values() if b and w)
-
+    """Count a traffic stream's ``(fqdn, flagged)`` classifier verdicts, one
+    per record, against the blacklist and whitelist.  The pairs are
+    consumed one at a time, and only counts per distinct name are kept."""
+    seen: dict[str, list[int]] = {}  # fqdn -> [records, flagged records]
+    for fqdn, flag in verdicts:
+        counts = seen.setdefault(fqdn, [0, 0])
+        counts[0] += 1
+        counts[1] += bool(flag)
     return AuditReport(
-        raw=AuditCounts(raw_total, raw_flagged, raw_fb, raw_fw, raw_bw),
-        deduplicated=AuditCounts(len(dedup_flagged), dd_flagged, dd_fb, dd_fw, dd_bw),
+        raw=_counts(((d, n, f) for d, (n, f) in seen.items()), blacklist, whitelist),
+        deduplicated=_counts(((d, 1, f > 0) for d, (_, f) in seen.items()), blacklist, whitelist),
     )

@@ -452,7 +452,7 @@ def synth_dataset(
             v6_rate=0.15,
         )
         examples.append(
-            LabeledExample(record=record, parsed=ParsedDomain(sld, tld, fqdn), label=Label.BENIGN, source="synthetic")
+            LabeledExample(record=record, parsed=ParsedDomain(sld, tld), label=Label.BENIGN, source="synthetic")
         )
 
     for i in range(n_dga):
@@ -471,7 +471,7 @@ def synth_dataset(
             v6_rate=0.03,
         )
         examples.append(
-            LabeledExample(record=record, parsed=ParsedDomain(sld, tld, fqdn), label=Label.DGA, source="synthetic")
+            LabeledExample(record=record, parsed=ParsedDomain(sld, tld), label=Label.DGA, source="synthetic")
         )
 
     return examples

@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 
 import dgadetect
-from dgadetect import forest
+from dgadetect import evaluation, forest, ingest
 from dgadetect.cli import main
+from dgadetect.core import SuffixDb
 from dgadetect.errors import LabelsFormatError, ModelFormatError, SchemaMismatchError
 from dgadetect.forest import ForestModel
+from dgadetect.sideinfo import GeoDb
 
 
 def _run(args):
@@ -358,6 +360,89 @@ def test_classify_hybrid_missing_score_keeps_earlier_verdicts(workspace, hybrid,
     assert out.read_bytes() == b"".join(verdicts[:100])
 
 
+def _batch_verdicts(model_path, data):
+    """Each record's ``(fqdn, flagged)`` verdict from one
+    ``score_matrix(design_matrix(...))`` call over all of ``data``."""
+    model = ForestModel.load(model_path)
+    build = ingest.record_vectorizer(model.feature_set, GeoDb.bundled(), model.country_codes)
+    with open(data, "rb") as fp:
+        pairs = list(ingest.read_domains(fp, SuffixDb.bundled(), ingest.ParseStats()))
+    scores = model.score_matrix(forest.design_matrix([build(*p) for p in pairs], model.feature_set))
+    return [(parsed.fqdn, bool(score >= model.threshold)) for (_, parsed), score in zip(pairs, scores)]
+
+
+def test_audit_scores_each_read_as_its_own_batch(workspace, tmp_path, monkeypatch):
+    lines = (workspace / "data.jsonl").read_bytes().splitlines(keepends=True)
+    data = tmp_path / "big.jsonl"
+    data.write_bytes(b"".join(lines[i % len(lines)] for i in range(2000)))
+    assert data.stat().st_size > 2 << 16
+    reads, calls = [], []
+    read_line_chunks, score_matrix = ingest.read_line_chunks, ForestModel.score_matrix
+
+    def counted_reads(src):
+        for chunk in read_line_chunks(src):
+            reads.append(len(chunk))
+            yield chunk
+
+    def counted_scores(self, X):
+        calls.append(len(X))
+        return score_matrix(self, X)
+
+    monkeypatch.setattr(ingest, "read_line_chunks", counted_reads)
+    monkeypatch.setattr(ForestModel, "score_matrix", counted_scores)
+    out = tmp_path / "audit.json"
+    assert _run(["audit", "--model", workspace / "model.json", "--data", data, "--out", out]) == 0
+    assert json.loads(out.read_text())["raw"]["total"] == 2000
+    assert len(calls) > 1 and calls == reads  # every line is a record
+
+
+def test_audit_flags_a_name_any_read_flagged(workspace, tmp_path):
+    """A name flagged in one read and not in another counts as flagged,
+    as when every record is scored in one batch."""
+    model = workspace / "model.json"
+    lines = (workspace / "data.jsonl").read_bytes().splitlines(keepends=True)
+
+    def renamed(line, name):
+        return json.dumps({**json.loads(line), "name": name}).encode() + b"\n"
+
+    # each flagged name on each record's answer, to find one it is not flagged with
+    candidates = [(fqdn, other) for fqdn, flagged in _batch_verdicts(model, workspace / "data.jsonl")
+                  if flagged for other in lines]
+    probe = tmp_path / "probe.jsonl"
+    probe.write_bytes(b"".join(renamed(other, name) for name, other in candidates))
+    name, other = next(c for c, (_, flagged) in zip(candidates, _batch_verdicts(model, probe))
+                       if not flagged)
+    unflagged = renamed(other, name)
+    first = next(line for line in lines if json.loads(line)["name"] == name)
+    data = tmp_path / "split.jsonl"
+    middle = [lines[i % len(lines)] for i in range(1000)]
+    data.write_bytes(b"".join([first] + middle + [unflagged]))
+    assert len(first) + len(b"".join(middle)) > 1 << 16  # the two lie in different reads
+    listed = tmp_path / "listed.txt"
+    listed.write_text(name + "\n")
+    out = tmp_path / "audit.json"
+    assert _run(["audit", "--model", model, "--data", data, "--blacklist", listed,
+                 "--whitelist", listed, "--out", out]) == 0
+    expected = _batch_verdicts(model, data)
+    assert {flagged for fqdn, flagged in expected if fqdn == name} == {True, False}
+    report = evaluation.audit(iter(expected), {name}, {name})
+    assert out.read_text() == report.to_json() + "\n"
+    assert report.deduplicated.flagged_blacklist == 1
+
+
+def test_audit_hybrid_missing_score_writes_nothing(workspace, hybrid, tmp_path):
+    scores_path, hybrid_path = hybrid
+    rows = scores_path.read_text().splitlines()
+    missing = json.loads((workspace / "data.jsonl").read_bytes().splitlines()[120])["name"]
+    partial = tmp_path / "partial.csv"
+    partial.write_text("\n".join(r for r in rows if r.split(",")[0] != missing) + "\n")
+    assert len(partial.read_text().splitlines()) == len(rows) - 1
+    out = tmp_path / "audit.json"
+    assert _run(["audit", "--model", hybrid_path, "--data", workspace / "data.jsonl",
+                 "--scores", partial, "--out", out]) == SchemaMismatchError.exit_code
+    assert list(tmp_path.iterdir()) == [partial]
+
+
 # labels that are not 0 or 1, no label column, and labels the provenance contradicts
 BAD_LABELS = ("abc", "2", "", "0,blacklist", "1,heuristics")
 
@@ -436,6 +521,29 @@ def test_exit_codes_distinct():
     assert len(set(codes)) == len(codes)
     assert 3 not in codes  # io code is reserved for OSError
     assert all(c != 0 for c in codes)
+
+
+# flag values out of range: (command, flag, value)
+OUT_OF_RANGE = (
+    ("evaluate", "--folds", "0"), ("evaluate", "--folds", "-2"), ("evaluate", "--folds", "1"),
+    ("train", "--target-fpr", "0"), ("train", "--target-fpr", "1.5"),
+    ("evaluate", "--target-fpr", "0"), ("evaluate", "--target-fpr", "1.5"),
+    ("train", "--seed", "-1"), ("evaluate", "--seed", "-1"),
+    ("synth", "--n-benign", "0"), ("synth", "--n-dga", "0"),
+    ("attack", "--trials", "0"), ("attack", "--n-domains", "0"), ("attack", "--mutations", "0"),
+)
+
+
+@pytest.mark.parametrize("command,flag,value", OUT_OF_RANGE, ids=[" ".join(c) for c in OUT_OF_RANGE])
+def test_out_of_range_flag_is_a_usage_error(workspace, tmp_path, capsys, command, flag, value):
+    data = ["--data", workspace / "data.jsonl"]
+    inputs = {"synth": [], "train": data, "evaluate": data,
+              "attack": ["--model", workspace / "model.json", *data]}[command]
+    with pytest.raises(SystemExit) as exit_:
+        _run([command, *inputs, flag, value, "--out", tmp_path / "out"])
+    assert exit_.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 MALFORMED_LINES = {

@@ -13,7 +13,6 @@ from dgadetect.lexical import extract_lexical
 def test_parse_discards_deeper_labels(suffix_db):
     d = parse_domain("www.google.com", suffix_db)
     assert (d.sld, d.tld) == ("google", "com")
-    assert d.original == "www.google.com"
 
 
 def test_parse_lowercases(suffix_db):

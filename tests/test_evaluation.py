@@ -213,12 +213,13 @@ def test_cross_validate_isolation(small_dataset):
 
 
 def _item(sld, score):
-    return ParsedDomain(sld, "com"), score
+    return ParsedDomain(sld, "com").fqdn, score
 
 
 def _audit(items, blacklist, whitelist):
-    """Audit with each item's score as its classifier score, flagged at 0.5."""
-    return audit([d for d, _ in items], [s >= 0.5 for _, s in items], blacklist, whitelist)
+    """Audit with each item's score as its classifier score, flagged at
+    0.5, the verdicts handed over as a one-shot generator."""
+    return audit(((d, s >= 0.5) for d, s in items), blacklist, whitelist)
 
 
 def test_audit_hand_counted_fixture():
